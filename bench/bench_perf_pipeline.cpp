@@ -9,8 +9,6 @@
 // machine-readable per-stage ns + items/sec trajectory to diff against.
 #include <benchmark/benchmark.h>
 
-#include <malloc.h>
-
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -46,16 +44,12 @@ using namespace ddos;
 
 namespace {
 
-// ---- peak-RSS comparison: streaming vs materialized pipeline.
+// ---- peak-RSS probe: one persisting pipeline run.
 //
 // VmHWM is the process-lifetime RSS high-water mark, so ordering is the
-// whole measurement: the streaming run goes FIRST, in a fresh process
-// before any benchmark state exists, and its VmHWM is an honest ceiling.
-// Between the two runs the freed memory is returned to the kernel
-// (malloc_trim) and the peak counter is reset by writing "5" to
-// /proc/self/clear_refs. If the reset is unsupported the materialized
-// reading degrades to max(streaming, materialized) — still a valid bound
-// for the streaming <= ratio * materialized gate below.
+// whole measurement: the probe runs FIRST, in a fresh process before any
+// benchmark state exists, and its VmHWM is an honest ceiling for the
+// `generate --store` path.
 
 std::uint64_t read_vm_hwm_bytes() {
   std::ifstream in("/proc/self/status");
@@ -71,21 +65,6 @@ std::uint64_t read_vm_hwm_bytes() {
   return 0;
 }
 
-void reset_peak_rss() {
-  std::ofstream out("/proc/self/clear_refs");
-  out << "5";
-}
-
-struct PeakRss {
-  std::uint64_t streaming_bytes = 0;
-  std::uint64_t materialized_bytes = 0;
-  double ratio() const {
-    return materialized_bytes > 0 ? static_cast<double>(streaming_bytes) /
-                                        static_cast<double>(materialized_bytes)
-                                  : 0.0;
-  }
-};
-
 scenario::LongitudinalConfig bench_config() {
   scenario::LongitudinalConfig cfg = scenario::small_longitudinal_config(3);
   cfg.world.domain_count = 20000;
@@ -94,39 +73,24 @@ scenario::LongitudinalConfig bench_config() {
   return cfg;
 }
 
-PeakRss measure_peak_rss() {
+std::uint64_t measure_peak_rss() {
   // Heavier than bench_config(): the bounded-memory claim is about the
   // regime where pipeline data — the feed record stream and the folded
   // sweep state — dominates the footprint (the production 17-month
   // telescope feed), so the probe lowers the workload scale divisor for
-  // more attacks and more feed records. The materialized run holds the
-  // record vector plus its segmentation sort copy on top of the ingest
-  // region's shard outputs; the streaming run retires each shard into the
-  // incremental stitcher, so only the region itself plus the fixed world
-  // stays resident. At toy scale the fixed world term would drown that
-  // difference.
+  // more attacks and more feed records. A persisting run retires each
+  // ingest shard into the incremental stitcher and each joined-through
+  // day into the store file, so only the fixed world plus a few days of
+  // state stays resident. At toy scale the fixed world term would drown
+  // that.
   scenario::LongitudinalConfig cfg = bench_config();
   cfg.workload.scale = 20.0;
-  PeakRss peaks;
-  std::size_t streamed_joined = 0;
-  {
-    const auto r = scenario::run_longitudinal_streaming(cfg, {});
-    streamed_joined = r.joined.size();
-    benchmark::DoNotOptimize(streamed_joined);
-    peaks.streaming_bytes = read_vm_hwm_bytes();
-  }
-  malloc_trim(0);
-  reset_peak_rss();
-  {
-    const auto r = scenario::run_longitudinal(cfg);
-    benchmark::DoNotOptimize(r.joined.size());
-    peaks.materialized_bytes = read_vm_hwm_bytes();
-    if (r.joined.size() != streamed_joined) {
-      std::cerr << "STREAMING DETERMINISM VIOLATION: streaming and "
-                   "materialized joined counts disagree\n";
-    }
-  }
-  return peaks;
+  scenario::RunOptions options;
+  options.store_path = "bench_perf_pipeline_rss.drs";
+  const auto r = scenario::run_longitudinal(cfg, options);
+  benchmark::DoNotOptimize(r.joined.size());
+  std::filesystem::remove(options.store_path);
+  return read_vm_hwm_bytes();
 }
 
 // Shared small world for the micro-benchmarks.
@@ -315,7 +279,7 @@ std::uint64_t stage_wall_ns(const obs::Observer& observer,
 // The pipeline is run twice — single-threaded and at hardware width — so
 // the JSON captures the scaling trajectory (per-stage walls at 1 and N
 // threads plus the sweep-stage speedup), not just single-core ns.
-void write_pipeline_json(const char* path, const PeakRss& peaks) {
+void write_pipeline_json(const char* path, std::uint64_t peak_rss_bytes) {
   const scenario::LongitudinalConfig cfg = bench_config();
 
   const unsigned hw = std::thread::hardware_concurrency();
@@ -362,8 +326,8 @@ void write_pipeline_json(const char* path, const PeakRss& peaks) {
               << threads << " runs disagree\n";
   }
 
-  const std::uint64_t sweep_t1 = stage_wall_ns(observer_t1, "sweep");
-  const std::uint64_t sweep_tn = stage_wall_ns(observer, "sweep");
+  const std::uint64_t sweep_t1 = stage_wall_ns(observer_t1, "stream.sweep");
+  const std::uint64_t sweep_tn = stage_wall_ns(observer, "stream.sweep");
   const std::uint64_t total_t1 = stage_wall_ns(observer_t1, "run_longitudinal");
   const std::uint64_t total_tn = stage_wall_ns(observer, "run_longitudinal");
 
@@ -641,11 +605,8 @@ void write_pipeline_json(const char* path, const PeakRss& peaks) {
   report.add_result("serve_p99_us", serve_p99_us);
   report.add_result("net_qps", net_qps);
   report.add_result("net_rtt_p99_us", net_rtt_p99_us);
-  report.add_result("peak_rss_bytes_streaming",
-                    static_cast<std::int64_t>(peaks.streaming_bytes));
-  report.add_result("peak_rss_bytes_materialized",
-                    static_cast<std::int64_t>(peaks.materialized_bytes));
-  report.add_result("peak_rss_ratio", peaks.ratio());
+  report.add_result("peak_rss_bytes",
+                    static_cast<std::int64_t>(peak_rss_bytes));
   report.add_result("sampler_overhead_pct", sampler_overhead_pct);
   report.add_result("sampler_samples",
                     static_cast<std::int64_t>(sampler.samples_taken()));
@@ -687,11 +648,8 @@ void write_pipeline_json(const char* path, const PeakRss& peaks) {
             << join_probe_ns << " ns; serve "
             << serve_lookups_per_sec / 1e6 << " M lookups/s at "
             << serve_report.threads << " threads, p99 " << serve_p99_us
-            << " us; peak RSS streaming "
-            << peaks.streaming_bytes / (1024.0 * 1024.0)
-            << " MiB vs materialized "
-            << peaks.materialized_bytes / (1024.0 * 1024.0) << " MiB = "
-            << peaks.ratio() << "x; sampler overhead "
+            << " us; peak RSS " << peak_rss_bytes / (1024.0 * 1024.0)
+            << " MiB; sampler overhead "
             << sampler_overhead_pct << "% over " << sampler.samples_taken()
             << " samples, " << sampler.series().series_count()
             << " series)\n";
@@ -700,13 +658,13 @@ void write_pipeline_json(const char* path, const PeakRss& peaks) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Before anything else: the streaming-vs-materialized peak-RSS probe
-  // needs a pristine address space (see measure_peak_rss).
-  const PeakRss peaks = measure_peak_rss();
+  // Before anything else: the peak-RSS probe needs a pristine address
+  // space (see measure_peak_rss).
+  const std::uint64_t peak_rss_bytes = measure_peak_rss();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  write_pipeline_json("bench_perf_pipeline.json", peaks);
+  write_pipeline_json("bench_perf_pipeline.json", peak_rss_bytes);
   return 0;
 }

@@ -1,7 +1,7 @@
-// Stage — a named pipeline-stage thread for the streaming driver. One
+// Stage — a named pipeline-stage thread for the day-epoch driver. One
 // Stage owns one std::thread running one body; the body's exception (if
 // any) is captured and rethrown from join() on the wiring thread, so a
-// failing stage surfaces as a normal exception in run_longitudinal_streaming
+// failing stage surfaces as a normal exception in run_longitudinal
 // instead of std::terminate. Bodies are expected to close their output
 // Channel on all exits (including unwinds) so downstream stages drain and
 // stop rather than deadlock.

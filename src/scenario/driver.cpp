@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <limits>
 #include <map>
 #include <optional>
@@ -43,130 +44,6 @@ LongitudinalConfig small_longitudinal_config(std::uint64_t seed) {
   cfg.sweep_seed = seed ^ 0x77;
   cfg.feed_seed = seed ^ 0x99;
   return cfg;
-}
-
-namespace {
-
-// Shared head of the materialized and streaming drivers: world + workload
-// into `result`. The telescope stage differs between the two (materialized
-// retains the record vector; streaming retires it shard by shard), so it
-// lives with each driver.
-void run_world_and_workload(const LongitudinalConfig& config,
-                            LongitudinalResult& result, obs::Tracer* tracer) {
-  {
-    obs::ScopedSpan span(tracer, "world.build");
-    result.world = build_world(config.world);
-    span.set_items(result.world->registry.domain_count());
-  }
-  {
-    obs::ScopedSpan span(tracer, "workload.generate");
-    result.workload = generate_workload(*result.world, config.workload);
-    span.set_items(result.workload.schedule.size());
-  }
-}
-
-}  // namespace
-
-LongitudinalResult run_longitudinal(const LongitudinalConfig& config) {
-  obs::Observer* observer = obs::Observer::installed();
-  obs::Tracer* tracer = observer ? &observer->tracer() : nullptr;
-  obs::ScopedSpan total(tracer, "run_longitudinal");
-
-  LongitudinalResult result;
-  run_world_and_workload(config, result, tracer);
-  // Telescope: observe backscatter, infer the feed, stitch events.
-  {
-    obs::ScopedSpan span(tracer, "telescope.infer");
-    result.feed = telescope::RSDoSFeed(config.inference, config.backscatter);
-    result.feed.ingest(result.workload.schedule, result.darknet,
-                       config.feed_seed);
-    result.feed_records = result.feed.records().size();
-    result.events = result.feed.events();
-    span.set_items(result.events.size());
-  }
-  const World& world = *result.world;
-
-  const SweepPlan plan =
-      derive_sweep_plan(world, result.events, tracer, observer);
-  const PlanRetention retention{plan.daily_keys, plan.window_keys,
-                                plan.ns_seen_keys};
-  const auto& sweep_plan = plan.days;
-
-  // ---- Sparse sweep.
-  {
-    obs::ScopedSpan sweep_span(tracer, "sweep");
-    openintel::SweeperParams sp;
-    sp.resolver = config.resolver;
-    sp.model = config.model;
-    sp.seed = config.sweep_seed;
-    const openintel::Sweeper sweeper(world.registry, result.workload.schedule,
-                                     sp);
-    const std::uint64_t days_total = sweep_plan.size();
-    std::uint64_t days_done = 0;
-    std::vector<dns::DomainId> day_domains;
-    for (const auto& [day, domains] : sweep_plan) {
-      obs::ScopedSpan day_span(tracer, "sweep.day");
-      day_span.arg("day", static_cast<std::int64_t>(day));
-      day_span.set_items(domains.size());
-      day_domains = domains.sorted_keys();
-      // Parallel across domains within the day; the batch sink below runs
-      // on this thread in shard (= domain) order, and the store's grouped
-      // fold preserves per-key measurement order, so the resulting state
-      // is bit-identical to per-measurement add() at any thread count.
-      sweeper.sweep_domains_batched(
-          day, day_domains, exec::global_pool(),
-          [&result, &retention](std::span<const openintel::Measurement> batch) {
-            result.store.add_batch(batch, retention);
-            result.swept_measurements += batch.size();
-          });
-      ++days_done;
-      if (observer) {
-        observer->pipeline.run_days_swept.set(static_cast<double>(days_done));
-        obs::ProgressEvent progress;
-        progress.stage = "sweep";
-        progress.day = day;
-        progress.days_done = days_done;
-        progress.days_total = days_total;
-        progress.measurements = result.swept_measurements;
-        progress.events = result.events.size();
-        const double elapsed_s =
-            static_cast<double>(total.elapsed_ns()) / 1e9;
-        progress.sweep_rate_per_s =
-            elapsed_s > 0.0
-                ? static_cast<double>(result.swept_measurements) / elapsed_s
-                : 0.0;
-        observer->emit_progress(progress, days_done == days_total);
-      }
-    }
-    sweep_span.set_items(result.swept_measurements);
-  }
-  if (observer) {
-    observer->pipeline.run_store_measurements.set(
-        static_cast<double>(result.swept_measurements));
-  }
-
-  // ---- Join.
-  {
-    obs::ScopedSpan span(tracer, "join");
-    const core::ResilienceClassifier classifier(world.registry, world.census,
-                                                world.routes, world.orgs);
-    core::JoinPipeline pipeline(world.registry, result.store, classifier,
-                                config.join);
-    result.joined = pipeline.run(result.events);
-    result.join_stats = pipeline.stats();
-    span.set_items(result.joined.size());
-  }
-  if (observer) {
-    obs::ProgressEvent progress;
-    progress.stage = "join";
-    progress.days_done = sweep_plan.size();
-    progress.days_total = sweep_plan.size();
-    progress.measurements = result.swept_measurements;
-    progress.events = result.events.size();
-    progress.joined = result.joined.size();
-    observer->emit_progress(progress, /*force=*/true);
-  }
-  return result;
 }
 
 // ---- DRS persistence (generate/analyze stage split).
@@ -209,10 +86,10 @@ void check_count(const store::Reader& reader, const std::string& what,
   }
 }
 
-// The provenance meta block, shared between save_run and the streaming
-// writer so the two paths can never emit different key sets or orders (the
-// footer serialises meta in insertion order, and CI compares the files
-// byte for byte).
+// The provenance meta block, shared between save_run and the driver's
+// store writer so the two can never emit different key sets or orders (the
+// footer serialises meta in insertion order, and the golden digests pin
+// the files byte for byte).
 void write_provenance_meta(store::Writer& writer,
                            const LongitudinalConfig& config, unsigned threads) {
   writer.add_meta("format.tool", "ddosrepro");
@@ -264,9 +141,8 @@ void write_provenance_meta(store::Writer& writer,
 }
 
 // Result/stat counts, written by save_run right after the provenance and
-// by the streaming writer at the end of the run; add_meta overwrites in
-// place for existing keys, so insertion position — not rewrite time —
-// fixes the footer order either way.
+// by the driver at the end of the run. The driver adds no meta in
+// between, so the footer order is the same either way.
 void write_result_meta(store::Writer& writer, std::uint64_t attacks,
                        std::uint64_t feed_records, std::uint64_t events,
                        std::uint64_t joined, std::uint64_t swept,
@@ -309,7 +185,9 @@ std::uint64_t save_run(const std::string& path,
   store::write_measurements(writer, result.store);
   store::write_joined_events(writer, result.joined);
 
-  writer.finish();
+  if (!writer.finish()) {
+    throw store::StoreError(path + ": write failed");
+  }
   const std::uint64_t bytes = writer.bytes_written();
   span.set_items(writer.column_count());
   if (observer) {
@@ -318,199 +196,20 @@ std::uint64_t save_run(const std::string& path,
   return bytes;
 }
 
-// ---- sharded generation (plan/execute; compaction is store::merge_stores).
-
-ShardRunResult run_shard(const LongitudinalConfig& config,
-                         const ShardSpec& spec, unsigned threads,
-                         const std::string& store_path) {
-  if (spec.count == 0 || spec.index >= spec.count) {
-    throw std::invalid_argument(
-        "run_shard: need shard index < count, count >= 1");
-  }
-  obs::Observer* observer = obs::Observer::installed();
-  obs::Tracer* tracer = observer ? &observer->tracer() : nullptr;
-  obs::ScopedSpan total(tracer, "run_shard");
-  total.arg("shard", static_cast<std::int64_t>(spec.index));
-  total.arg("count", static_cast<std::int64_t>(spec.count));
-
-  LongitudinalResult result;
-  run_world_and_workload(config, result, tracer);
-  {
-    obs::ScopedSpan span(tracer, "telescope.infer");
-    result.feed = telescope::RSDoSFeed(config.inference, config.backscatter);
-    result.feed.ingest(result.workload.schedule, result.darknet,
-                       config.feed_seed);
-    result.feed_records = result.feed.records().size();
-    result.events = result.feed.events();
-    span.set_items(result.events.size());
-  }
-  const World& world = *result.world;
-
-  // The GLOBAL plan: every shard derives the identical retention sets,
-  // day-domain sets and day cuts from the identical event list (world,
-  // workload, telescope and sweep are pure functions of their seeds, so
-  // no seed depends on process layout). A day swept here is therefore
-  // bit-identical to the same day swept by the whole-world run, and all
-  // shards agree on the partition without coordinating.
-  const SweepPlan plan =
-      derive_sweep_plan(world, result.events, tracer, observer);
-  const PlanRetention retention{plan.daily_keys, plan.window_keys,
-                                plan.ns_seen_keys};
-  const ShardBounds bounds = shard_bounds(plan, spec);
-
-  // Owned events (canonical stitch order preserved) and the sweep halo:
-  // an event owned here reads daily/ns_seen state at first_day-1 and its
-  // attack windows, all on days <= its final (owning) day — so sweeping
-  // [min over owned of first_day-1, day_hi) with the global retention
-  // covers every read this shard's joins perform.
-  std::vector<std::uint32_t> owned;
-  netsim::DayIndex halo_lo = bounds.day_lo;
-  for (std::uint32_t idx = 0;
-       idx < static_cast<std::uint32_t>(result.events.size()); ++idx) {
-    const auto& ev = result.events[idx];
-    if (!bounds.owns_event(ev)) continue;
-    owned.push_back(idx);
-    halo_lo = std::min(halo_lo, ev.start_time().day() - 1);
-  }
-
-  // ---- Sparse sweep over the shard's day range (owned days + halo).
-  {
-    obs::ScopedSpan sweep_span(tracer, "sweep");
-    openintel::SweeperParams sp;
-    sp.resolver = config.resolver;
-    sp.model = config.model;
-    sp.seed = config.sweep_seed;
-    const openintel::Sweeper sweeper(world.registry, result.workload.schedule,
-                                     sp);
-    std::uint64_t days_total = 0;
-    for (const auto& [day, domains] : plan.days) {
-      if (day >= halo_lo && day < bounds.day_hi) ++days_total;
-    }
-    std::uint64_t days_done = 0;
-    std::vector<dns::DomainId> day_domains;
-    for (const auto& [day, domains] : plan.days) {
-      if (day < halo_lo || day >= bounds.day_hi) continue;
-      // Halo days below day_lo serve this shard's joins only; their
-      // folded state is retired before the store is written and their
-      // measurements belong to the preceding shard's count.
-      const bool owned_day = bounds.owns_day(day);
-      obs::ScopedSpan day_span(tracer, "sweep.day");
-      day_span.arg("day", static_cast<std::int64_t>(day));
-      day_span.set_items(domains.size());
-      day_domains = domains.sorted_keys();
-      sweeper.sweep_domains_batched(
-          day, day_domains, exec::global_pool(),
-          [&result, &retention,
-           owned_day](std::span<const openintel::Measurement> batch) {
-            result.store.add_batch(batch, retention);
-            if (owned_day) result.swept_measurements += batch.size();
-          });
-      ++days_done;
-      if (observer) {
-        observer->pipeline.run_days_swept.set(static_cast<double>(days_done));
-        obs::ProgressEvent progress;
-        progress.stage = "sweep";
-        progress.day = day;
-        progress.days_done = days_done;
-        progress.days_total = days_total;
-        progress.measurements = result.swept_measurements;
-        progress.events = result.events.size();
-        const double elapsed_s = static_cast<double>(total.elapsed_ns()) / 1e9;
-        progress.sweep_rate_per_s =
-            elapsed_s > 0.0
-                ? static_cast<double>(result.swept_measurements) / elapsed_s
-                : 0.0;
-        observer->emit_progress(progress, days_done == days_total);
-      }
-    }
-    sweep_span.set_items(result.swept_measurements);
-  }
-  if (observer) {
-    observer->pipeline.run_store_measurements.set(
-        static_cast<double>(result.swept_measurements));
-  }
-
-  // ---- Join the owned events, in canonical stitch order, pre-merge.
-  // The concurrent-event merge is deferred to the compaction stage (it is
-  // a global sort over all shards' rows); src_event records each output
-  // row's canonical telescope-event index so the merger can interleave
-  // the shards back into exactly the single-process pre-merge vector.
-  core::JoinStats stats;
-  std::vector<std::uint64_t> src_event;
-  {
-    obs::ScopedSpan span(tracer, "join");
-    const core::ResilienceClassifier classifier(world.registry, world.census,
-                                                world.routes, world.orgs);
-    const core::JoinPipeline pipeline(world.registry, result.store, classifier,
-                                      config.join);
-    stats.total_events = owned.size();
-    core::JoinPipeline::BaselineCache baselines;
-    for (const std::uint32_t idx : owned) {
-      const std::size_t before = result.joined.size();
-      pipeline.join_event(result.events[idx], result.joined, stats,
-                          &baselines);
-      for (std::size_t i = before; i < result.joined.size(); ++i) {
-        src_event.push_back(idx);
-      }
-    }
-    result.join_stats = stats;
-    span.set_items(result.joined.size());
-  }
-
-  // Keep only owned-day state: the halo existed solely to serve reads, and
-  // the preceding shard persists those days itself. After this the store
-  // remnant is exactly the whole-run store restricted to [day_lo, day_hi).
-  result.store.retire_days_below(bounds.day_lo);
-
-  // ---- Shard store: save_run's exact meta/block layout plus a shard
-  // manifest and the src_event column (both stripped by the merger).
-  const auto [feed_lo, feed_hi] = shard_feed_slice(result.feed_records, spec);
-  {
-    obs::ScopedSpan span(tracer, "store.write");
-    store::Writer writer(store_path);
-    write_provenance_meta(writer, config, threads);
-    write_result_meta(writer, result.workload.schedule.size(),
-                      feed_hi - feed_lo, result.events.size(),
-                      result.joined.size(), result.swept_measurements, stats);
-    writer.add_meta("shard.index", std::to_string(spec.index));
-    writer.add_meta("shard.count", std::to_string(spec.count));
-    writer.add_meta("shard.owned_events", std::to_string(owned.size()));
-
-    const std::vector<telescope::RSDoSRecord> slice(
-        result.feed.records().begin() +
-            static_cast<std::ptrdiff_t>(feed_lo),
-        result.feed.records().begin() + static_cast<std::ptrdiff_t>(feed_hi));
-    store::write_feed_records(writer, slice);
-    store::write_measurements(writer, result.store);
-    store::write_joined_events(writer, result.joined);
-    writer.add_u64("shard", "src_event", src_event,
-                   store::Encoding::DeltaVarint);
-
-    writer.finish();
-    result.store_bytes = writer.bytes_written();
-    span.set_items(writer.column_count());
-    if (observer) {
-      observer->pipeline.store_bytes_written.set(
-          static_cast<double>(result.store_bytes));
-    }
-  }
-
-  ShardRunResult out;
-  out.spec = spec;
-  out.day_lo = bounds.day_lo;
-  out.day_hi = bounds.day_hi;
-  out.events_total = result.events.size();
-  out.owned_events = owned.size();
-  out.feed_rows = feed_hi - feed_lo;
-  out.joined_rows = result.joined.size();
-  out.swept_measurements = result.swept_measurements;
-  out.store_bytes = result.store_bytes;
-  return out;
-}
-
-// ---- streaming day-epoch pipeline.
+// ---- the day-epoch dataflow (the one execution path).
 
 namespace {
+
+// Days of folded state kept beyond the join watermark before retirement.
+// The watermark alone guarantees no pending join loses data, so the lag
+// only delays eviction; any value >= 1 yields identical output.
+constexpr netsim::DayIndex kRetireLagDays = 2;
+// Bounded capacity of each inter-stage channel. Backpressure only; the
+// output is identical at any capacity >= 1.
+constexpr std::size_t kChannelCapacity = 4;
+
+constexpr netsim::DayIndex kNoPendingReads =
+    std::numeric_limits<netsim::DayIndex>::max();
 
 /// One sweep-plan day queued to the sweep stage.
 struct SweepTask {
@@ -518,35 +217,48 @@ struct SweepTask {
   std::vector<dns::DomainId> domains;  // sorted, from the plan's day set
 };
 
-/// One swept day's measurements, preserved as the sink-call batches in
-/// sink-call order so the fold stage replays the exact add_batch sequence
-/// the materialized driver performs.
+/// One swept day's measurements, kept as the sweeper's sink-call batches
+/// in sink-call order so the fold stage replays the exact add_batch
+/// sequence of an in-place sweep.
 struct SweptDay {
   netsim::DayIndex day = 0;
   std::vector<std::vector<openintel::Measurement>> batches;
 };
 
-}  // namespace
-
-LongitudinalResult run_longitudinal_streaming(const LongitudinalConfig& config,
-                                              const StreamingOptions& options) {
-  if (options.window_days < 1) {
-    throw std::invalid_argument(
-        "streaming window_days must be >= 1 (day d's fold still feeds the "
-        "day-after join)");
-  }
-
+// The pipeline body shared by run_longitudinal and run_shard. Without a
+// shard spec the run owns every day and every event; with one it sweeps
+// only the shard's days plus the halo its owned events read, joins only
+// the owned events, keeps their pre-merge rows, and persists the
+// owned-day remnant in the shard store layout. Only the day range differs
+// until the join's tail.
+LongitudinalResult execute(const LongitudinalConfig& config,
+                           const RunOptions& options,
+                           const std::optional<ShardSpec>& shard,
+                           ShardRunResult* shard_result) {
   obs::Observer* observer = obs::Observer::installed();
   obs::Tracer* tracer = observer ? &observer->tracer() : nullptr;
-  obs::ScopedSpan total(tracer, "run_longitudinal_streaming");
+  obs::ScopedSpan total(tracer, shard ? "run_shard" : "run_longitudinal");
+  if (shard) {
+    total.arg("shard", static_cast<std::int64_t>(shard->index));
+    total.arg("count", static_cast<std::int64_t>(shard->count));
+  }
 
   LongitudinalResult result;
-  run_world_and_workload(config, result, tracer);
+  {
+    obs::ScopedSpan span(tracer, "world.build");
+    result.world = build_world(config.world);
+    span.set_items(result.world->registry.domain_count());
+  }
+  {
+    obs::ScopedSpan span(tracer, "workload.generate");
+    result.workload = generate_workload(*result.world, config.workload);
+    span.set_items(result.workload.schedule.size());
+  }
 
-  // Optional streaming DRS store, opened before the telescope stage so the
+  // The DRS store is opened before the telescope stage so a whole run's
   // feed columns stream straight from the ingest shards: provenance meta
   // and feed blocks up front (save_run's block order starts with "feed"),
-  // aggregate columns appended per retired epoch, result meta + joined
+  // aggregate columns appended per retired epoch, result meta and joined
   // events at the end.
   std::optional<store::Writer> writer;
   std::optional<store::AggregateColumnsAppender> daily_columns;
@@ -554,61 +266,109 @@ LongitudinalResult run_longitudinal_streaming(const LongitudinalConfig& config,
   std::optional<store::NsSeenAppender> ns_seen_columns;
   if (!options.store_path.empty()) {
     writer.emplace(options.store_path);
+    if (!writer->ok()) {
+      throw store::StoreError(options.store_path +
+                              ": cannot open for writing");
+    }
     write_provenance_meta(*writer, config, options.threads);
     daily_columns.emplace("daily");
     window_columns.emplace("window");
     ns_seen_columns.emplace();
   }
 
-  // Telescope: observe backscatter, infer the feed, stitch events — but
-  // retire each ingest shard's records the moment they are folded into the
-  // incremental stitcher (and the store's feed columns). The ordered shard
-  // reduction feeds the sink in records_ order, and EventStitcher::finish
+  // Telescope: observe backscatter, infer the feed, stitch events. Each
+  // ingest shard's records fold into the incremental stitcher (and the
+  // store's feed columns) in records order, and EventStitcher::finish
   // equals segment_events over the same multiset, so events, columns and
-  // counts are bit-identical to the materialized telescope block while
-  // peak memory stays bounded by the parallel region itself.
+  // counts equal a batch ingest's. The record vector itself is kept only
+  // for an in-memory run or retain_feed.
+  //
+  // A shard persists only its shard_feed_slice of the record stream, whose
+  // bounds depend on the final count, so it holds back the ingest chunks
+  // that can still overlap it: since the final count is at least the
+  // `seen` count so far, record k is below the slice once
+  // k < seen * index / count.
+  const bool keep_records = !writer || options.retain_feed;
+  std::uint64_t feed_rows = 0;  // feed rows this run persists
   {
     obs::ScopedSpan span(tracer, "telescope.infer");
     result.feed = telescope::RSDoSFeed(config.inference, config.backscatter);
     telescope::EventStitcher stitcher(config.inference);
     std::optional<store::FeedColumnsAppender> feed_columns;
     if (writer) feed_columns.emplace();
+    std::deque<std::vector<telescope::RSDoSRecord>> held;  // shard only
+    std::uint64_t held_from = 0;  // stream index of held's first record
+    std::uint64_t seen = 0;
     result.feed_records = result.feed.ingest_stream(
         result.workload.schedule, result.darknet, config.feed_seed,
         [&](std::vector<telescope::RSDoSRecord>&& records) {
           for (const telescope::RSDoSRecord& rec : records) {
-            if (feed_columns) feed_columns->append(rec);
             stitcher.add(rec);
-            if (options.retain_feed) result.feed.add_record(rec);
+            if (keep_records) result.feed.add_record(rec);
+            if (feed_columns && !shard) feed_columns->append(rec);
+          }
+          if (!shard) return;
+          seen += records.size();
+          held.push_back(std::move(records));
+          const std::uint64_t below = seen * shard->index / shard->count;
+          while (!held.empty() &&
+                 held_from + held.front().size() <= below) {
+            held_from += held.front().size();
+            held.pop_front();
           }
         });
+    feed_rows = result.feed_records;
+    if (shard) {
+      const auto [feed_lo, feed_hi] =
+          shard_feed_slice(result.feed_records, *shard);
+      std::uint64_t k = held_from;
+      for (const auto& chunk : held) {
+        for (const telescope::RSDoSRecord& rec : chunk) {
+          if (k >= feed_lo && k < feed_hi) feed_columns->append(rec);
+          ++k;
+        }
+      }
+      feed_rows = feed_hi - feed_lo;
+    }
     if (feed_columns) feed_columns->flush_to(*writer);
+    // Free the encoded feed and the held records before the stitcher
+    // materialises the events: this is the run's peak-memory point.
+    feed_columns.reset();
+    held.clear();
     result.events = stitcher.finish();
     span.set_items(result.events.size());
   }
   const World& world = *result.world;
 
+  // The GLOBAL plan: every shard derives the identical retention sets,
+  // day-domain sets and day cuts from the identical event list (world,
+  // workload, telescope and sweep are pure functions of their seeds), so
+  // a day swept by a shard is bit-identical to the same day of a whole
+  // run, and all shards agree on the partition without coordinating.
   const SweepPlan plan =
       derive_sweep_plan(world, result.events, tracer, observer);
   const PlanRetention retention{plan.daily_keys, plan.window_keys,
                                 plan.ns_seen_keys};
-  std::vector<netsim::DayIndex> plan_days;
-  plan_days.reserve(plan.days.size());
-  for (const auto& [day, domains] : plan.days) plan_days.push_back(day);
+  // A whole run owns every day: the same int64 sentinels the outer
+  // shards' cuts use.
+  const ShardBounds bounds =
+      shard ? shard_bounds(plan, *shard)
+            : ShardBounds{std::numeric_limits<netsim::DayIndex>::min(),
+                          std::numeric_limits<netsim::DayIndex>::max()};
 
   // Join readiness: an event's store reads — daily and ns_seen at
   // first_day-1, ns_seen at first_day, windows across the attack — are all
   // for days <= its last attacked day, and day-d sweeps only write day-d
-  // state. So once every plan day <= D is folded, every event with
-  // last day <= D joins finally. ready_order lists events by (last day,
-  // canonical index); min_first_read[i] is the earliest day any event from
-  // position i on still reads (a suffix-min of first_day-1), which is the
-  // retirement watermark once the cursor passes the joined prefix.
-  constexpr netsim::DayIndex kNoPendingReads =
-      std::numeric_limits<netsim::DayIndex>::max();
+  // state. So once every swept day <= D is folded, every event with last
+  // day <= D joins finally. ready_order lists the owned events by (last
+  // day, canonical index); min_first_read[i] is the earliest day any event
+  // from position i on still reads (a suffix-min of first_day-1), which is
+  // the retirement watermark once the cursor passes the joined prefix.
+  // The smallest first read is also the halo: sweeping [halo_lo, day_hi)
+  // covers every read the owned events perform.
   std::vector<std::pair<netsim::DayIndex, std::uint32_t>> ready_order;
-  ready_order.reserve(result.events.size());
   for (const auto& batch : telescope::group_events_by_day(result.events)) {
+    if (!bounds.owns_day(batch.day)) continue;
     for (const std::uint32_t idx : batch.event_indices) {
       ready_order.emplace_back(batch.day, idx);
     }
@@ -620,16 +380,22 @@ LongitudinalResult run_longitudinal_streaming(const LongitudinalConfig& config,
     min_first_read[i] =
         std::min(min_first_read[i + 1], ev.start_time().day() - 1);
   }
+  const netsim::DayIndex halo_lo = std::min(bounds.day_lo, min_first_read[0]);
+  const auto days_begin = plan.days.lower_bound(halo_lo);
+  const auto days_end = plan.days.lower_bound(bounds.day_hi);
+  std::vector<netsim::DayIndex> plan_days;
+  for (auto it = days_begin; it != days_end; ++it) {
+    plan_days.push_back(it->first);
+  }
 
-  // Per-event output slots, concatenated in canonical order at the end —
-  // the same assembly the materialized run's ordered reduction performs.
+  // Per-event output slots, concatenated in canonical order at the end.
   const core::ResilienceClassifier classifier(world.registry, world.census,
                                               world.routes, world.orgs);
   core::JoinPipeline pipeline(world.registry, result.store, classifier,
                               config.join);
   std::vector<std::vector<core::NssetAttackEvent>> slots(result.events.size());
   core::JoinStats stats;
-  stats.total_events = result.events.size();
+  stats.total_events = ready_order.size();
   core::JoinPipeline::BaselineCache baselines;
   std::size_t next_ready = 0;
 
@@ -642,17 +408,21 @@ LongitudinalResult run_longitudinal_streaming(const LongitudinalConfig& config,
     }
   };
 
-  // Retirement: evict (and, when persisting, append to the store columns)
-  // every day strictly below min(watermark, d - window_days + 1). The
-  // watermark alone guarantees no pending join loses data; window_days
-  // only delays eviction, so any value >= 1 yields identical output.
+  // Retirement (persisting runs only — an in-memory run keeps the whole
+  // store for its callers): evict every day below the threshold and
+  // append it to the store columns. Halo days below day_lo only served
+  // this shard's joins; the preceding shard persists them, so they are
+  // dropped instead.
   netsim::DayIndex last_threshold = std::numeric_limits<netsim::DayIndex>::min();
   std::size_t retired_days = 0;
   const auto retire_epochs = [&](netsim::DayIndex threshold) {
-    if (threshold <= last_threshold) return;
+    if (!writer || threshold <= last_threshold) return;
+    if (last_threshold < bounds.day_lo) {
+      result.store.retire_days_below(std::min(threshold, bounds.day_lo));
+    }
     last_threshold = threshold;
-    const auto retired = result.store.retire_days_below(threshold);
-    if (writer) {
+    if (threshold > bounds.day_lo) {
+      const auto retired = result.store.retire_days_below(threshold);
       for (const auto& [key, agg] : retired.daily) {
         daily_columns->append(key, agg);
       }
@@ -683,16 +453,16 @@ LongitudinalResult run_longitudinal_streaming(const LongitudinalConfig& config,
   // threaded. Every stage closes its output channel on all exits —
   // including unwinds — so a dying stage drains the others instead of
   // deadlocking them; Stage::join() then rethrows the original error.
-  exec::Channel<SweepTask> task_channel(options.channel_capacity);
-  exec::Channel<SweptDay> swept_channel(options.channel_capacity);
+  exec::Channel<SweepTask> task_channel(kChannelCapacity);
+  exec::Channel<SweptDay> swept_channel(kChannelCapacity);
 
   exec::Stage plan_stage("stream.plan", [&](exec::StageContext& ctx) {
     try {
       obs::ScopedSpan span(tracer, "stream.plan");
-      for (const auto& [day, domains] : plan.days) {
+      for (auto it = days_begin; it != days_end; ++it) {
         SweepTask task;
-        task.day = day;
-        task.domains = domains.sorted_keys();
+        task.day = it->first;
+        task.domains = it->second.sorted_keys();
         if (!task_channel.push(std::move(task))) break;  // consumer died
         ctx.tick();
         if (observer) {
@@ -724,9 +494,10 @@ LongitudinalResult run_longitudinal_streaming(const LongitudinalConfig& config,
         SweptDay out;
         out.day = task->day;
         // Parallel across domains within the day; the batch sink runs on
-        // this thread in shard (= domain) order, so replaying the batches
-        // in order downstream folds the store bit-identically to the
-        // materialized driver's in-place add_batch calls.
+        // this thread in shard (= domain) order, and the store's grouped
+        // fold preserves per-key measurement order, so replaying the
+        // batches in order downstream folds the store bit-identically at
+        // any thread count.
         sweeper.sweep_domains_batched(
             task->day, task->domains, exec::global_pool(),
             [&out](std::span<const openintel::Measurement> batch) {
@@ -792,16 +563,18 @@ LongitudinalResult run_longitudinal_streaming(const LongitudinalConfig& config,
   std::uint64_t days_done = 0;
   try {
     obs::ScopedSpan fold_span(tracer, "stream.fold");
-    // Events whose last day precedes the first plan day read nothing the
+    // Events whose last day precedes the first swept day read nothing the
     // sweep will ever write; join them against the empty store up front.
     join_ready_through((plan_days.empty() ? kNoPendingReads
                                           : plan_days.front()) -
                        1);
     while (auto day = swept_channel.pop()) {
+      // Halo days below day_lo are the preceding shard's measurements.
+      const bool owned_day = bounds.owns_day(day->day);
       for (const auto& batch : day->batches) {
         result.store.add_batch(
             std::span<const openintel::Measurement>(batch), retention);
-        result.swept_measurements += batch.size();
+        if (owned_day) result.swept_measurements += batch.size();
         fold_batches.fetch_add(1, std::memory_order_relaxed);
       }
       ++days_done;
@@ -811,8 +584,7 @@ LongitudinalResult run_longitudinal_streaming(const LongitudinalConfig& config,
       join_ready_through(next_plan_day - 1);
 
       const netsim::DayIndex watermark = min_first_read[next_ready];
-      retire_epochs(
-          std::min(watermark, day->day - options.window_days + 1));
+      retire_epochs(std::min(watermark, day->day - kRetireLagDays + 1));
 
       if (observer) {
         observer->pipeline.run_days_swept.set(static_cast<double>(days_done));
@@ -852,26 +624,38 @@ LongitudinalResult run_longitudinal_streaming(const LongitudinalConfig& config,
         static_cast<double>(result.swept_measurements));
   }
 
-  // Final drain: every plan day is folded, so everything left is ready,
+  // Final drain: every swept day is folded, so everything left is ready,
   // and afterwards nothing pins any epoch — retire the whole remnant
-  // (sweeps only write plan days, so last plan day + 1 clears the store).
+  // (sweeps only write plan days, so last swept day + 1 clears the store).
   join_ready_through(kNoPendingReads - 1);
   if (!plan_days.empty()) retire_epochs(plan_days.back() + 1);
 
-  // Assemble per-event slots in canonical order — byte-for-byte the
-  // ordered reduction of the materialized join — then run the shared
-  // merge/stats tail.
+  // Assemble the per-event slots in canonical order. A whole run then
+  // runs the join's merge/stats tail; a shard keeps the pre-merge rows —
+  // the concurrent-event merge is a global sort over every shard's rows,
+  // deferred to store::merge_stores — plus each row's canonical
+  // telescope-event index, so the merger can interleave the shards back
+  // into exactly the single-process pre-merge vector.
+  std::vector<std::uint64_t> src_event;
   {
     obs::ScopedSpan span(tracer, "join");
     std::size_t total_out = 0;
     for (const auto& slot : slots) total_out += slot.size();
     std::vector<core::NssetAttackEvent> assembled;
     assembled.reserve(total_out);
-    for (auto& slot : slots) {
-      for (auto& ev : slot) assembled.push_back(std::move(ev));
+    for (std::size_t idx = 0; idx < slots.size(); ++idx) {
+      for (auto& ev : slots[idx]) {
+        assembled.push_back(std::move(ev));
+        if (shard) src_event.push_back(idx);
+      }
     }
-    result.joined = pipeline.finalize(std::move(assembled), stats);
-    result.join_stats = pipeline.stats();
+    if (shard) {
+      result.joined = std::move(assembled);
+      result.join_stats = stats;
+    } else {
+      result.joined = pipeline.finalize(std::move(assembled), stats);
+      result.join_stats = pipeline.stats();
+    }
     span.set_items(result.joined.size());
   }
   if (observer) {
@@ -885,25 +669,70 @@ LongitudinalResult run_longitudinal_streaming(const LongitudinalConfig& config,
     observer->emit_progress(progress, /*force=*/true);
   }
 
-  if (writer) {
-    obs::ScopedSpan span(tracer, "store.write");
-    daily_columns->flush_to(*writer);
-    window_columns->flush_to(*writer);
-    ns_seen_columns->flush_to(*writer);
-    store::write_joined_events(*writer, result.joined);
-    write_result_meta(*writer, result.workload.schedule.size(),
-                      result.feed_records, result.events.size(),
-                      result.joined.size(), result.swept_measurements,
-                      result.join_stats);
-    writer->finish();
-    result.store_bytes = writer->bytes_written();
-    span.set_items(writer->column_count());
-    if (observer) {
-      observer->pipeline.store_bytes_written.set(
-          static_cast<double>(result.store_bytes));
-    }
+  if (!writer) return result;
+
+  // ---- Write tail. A shard store is save_run's exact meta/block layout
+  // restricted to the owned days and events, plus a shard manifest and the
+  // src_event column (both stripped by the merger).
+  obs::ScopedSpan span(tracer, "store.write");
+  daily_columns->flush_to(*writer);
+  window_columns->flush_to(*writer);
+  ns_seen_columns->flush_to(*writer);
+  store::write_joined_events(*writer, result.joined);
+  write_result_meta(*writer, result.workload.schedule.size(), feed_rows,
+                    result.events.size(), result.joined.size(),
+                    result.swept_measurements, result.join_stats);
+  if (shard) {
+    writer->add_meta("shard.index", std::to_string(shard->index));
+    writer->add_meta("shard.count", std::to_string(shard->count));
+    writer->add_meta("shard.owned_events", std::to_string(ready_order.size()));
+    writer->add_u64("shard", "src_event", src_event,
+                    store::Encoding::DeltaVarint);
+  }
+  if (!writer->finish()) {
+    throw store::StoreError(options.store_path + ": write failed");
+  }
+  result.store_bytes = writer->bytes_written();
+  span.set_items(writer->column_count());
+  if (observer) {
+    observer->pipeline.store_bytes_written.set(
+        static_cast<double>(result.store_bytes));
+  }
+
+  if (shard_result) {
+    shard_result->spec = *shard;
+    shard_result->day_lo = bounds.day_lo;
+    shard_result->day_hi = bounds.day_hi;
+    shard_result->events_total = result.events.size();
+    shard_result->owned_events = ready_order.size();
+    shard_result->feed_rows = feed_rows;
+    shard_result->joined_rows = result.joined.size();
+    shard_result->swept_measurements = result.swept_measurements;
+    shard_result->store_bytes = result.store_bytes;
   }
   return result;
+}
+
+}  // namespace
+
+LongitudinalResult run_longitudinal(const LongitudinalConfig& config,
+                                    const RunOptions& options) {
+  return execute(config, options, std::nullopt, nullptr);
+}
+
+ShardRunResult run_shard(const LongitudinalConfig& config,
+                         const ShardSpec& spec, unsigned threads,
+                         const std::string& store_path) {
+  if (spec.count == 0 || spec.index >= spec.count) {
+    throw std::invalid_argument(
+        "run_shard: need shard index < count, count >= 1");
+  }
+  RunOptions options;
+  options.store_path = store_path;
+  options.threads = threads;
+  ShardRunResult out;
+  execute(config, options, spec, &out);
+  return out;
 }
 
 StoredRun load_run(const std::string& path, bool use_mmap) {

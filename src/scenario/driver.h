@@ -13,6 +13,18 @@
 // Because each measurement's time and randomness depend only on
 // (seed, domain, day), the retained measurements are bit-identical to a
 // full sweep's — the skipped ones are those no analysis reads.
+//
+// One execution path, a day-epoch dataflow. The telescope feed streams
+// into an incremental event stitcher; the sweep plan's days then flow
+// through exec::Channel-connected stages (plan producer -> sweep ->
+// fold/join); each event joins as soon as the last day it reads has been
+// folded. When the run persists a store, every day no pending join can
+// still need (the join only reads day d-1 baselines, attack-window days
+// and the previous-day seen-NS sets) is retired from the MeasurementStore
+// and appended to the file, so the full store never materialises. Epoch
+// boundaries are pure functions of the day index, so the output is
+// bit-identical at any thread count. A shard run (`generate --shard i/N`)
+// is the same dataflow restricted to one range of the day axis.
 #pragma once
 
 #include <memory>
@@ -55,10 +67,10 @@ struct RunArtifacts {
   telescope::Darknet darknet = telescope::Darknet::ucsd_like();
   telescope::RSDoSFeed feed{telescope::InferenceParams{},
                             attack::BackscatterModelParams{}};
-  /// Records the telescope inferred. Streaming runs retire the record
-  /// vector shard by shard (feed.records() stays empty unless
-  /// StreamingOptions::retain_feed), so counts must come from here, not
-  /// from feed.records().size().
+  /// Records the telescope inferred. A run that persists a store drops the
+  /// record vector as it streams (feed.records() stays empty unless
+  /// RunOptions::retain_feed), so counts must come from here, not from
+  /// feed.records().size().
   std::uint64_t feed_records = 0;
   std::vector<telescope::RSDoSEvent> events;  // stitched telescope events
   openintel::MeasurementStore store;
@@ -70,23 +82,44 @@ struct RunArtifacts {
 struct LongitudinalResult : RunArtifacts {
   std::unique_ptr<World> world;
   Workload workload;
-  /// Bytes written to StreamingOptions::store_path (streaming runs that
-  /// persist a store only; materialized runs persist via save_run).
+  /// Bytes written to RunOptions::store_path (0 when no store was written).
   std::uint64_t store_bytes = 0;
 };
 
-LongitudinalResult run_longitudinal(const LongitudinalConfig& config);
+/// How a run is executed. No option changes the run's results; the
+/// retirement lag and the channel capacities are fixed constants in
+/// driver.cpp for the same reason (neither can change the output).
+struct RunOptions {
+  /// When non-empty, write the run's DRS store (byte-identical to
+  /// save_run of the same run) to this path as it goes: feed columns
+  /// straight from the ingest, aggregate columns per retired day. Retired
+  /// days leave the in-memory store, so result.store ends empty. With no
+  /// path nothing retires, and the result keeps the full store and the
+  /// feed records for in-process callers (save_run, serve, analyses).
+  std::string store_path;
+  /// Recorded as the run.threads provenance meta when store_path is set
+  /// (save_run takes the same value as a parameter).
+  unsigned threads = 0;
+  /// Keep the feed record vector in result.feed even when store_path is
+  /// set (needed by --feed-csv).
+  bool retain_feed = false;
+};
+
+LongitudinalResult run_longitudinal(const LongitudinalConfig& config,
+                                    const RunOptions& options = {});
 
 // ---- sharded generation (`generate --shard i/N`, plan/execute/compact).
 //
-// run_shard executes one shard of plan.h's N-way day partition and writes
-// an independent DRS shard store: the same meta/block layout as save_run
-// restricted to the shard's owned day range and events, plus a shard
-// manifest (shard.index/shard.count footer meta) and a "shard.src_event"
-// column recording each joined row's canonical telescope-event index.
-// store::merge_stores k-way merges the N shard files into one store
-// byte-identical to a single-process `generate --store` of the same
-// config — for any N and any thread count.
+// run_shard runs the driver restricted to one shard of plan.h's N-way day
+// partition: it sweeps only the shard's days plus the halo days its owned
+// events read, joins only the owned events (those whose final day it
+// owns), and writes an independent DRS shard store — the same meta/block
+// layout as save_run restricted to the owned day range and events, plus a
+// shard manifest (shard.index/shard.count footer meta) and a
+// "shard.src_event" column recording each joined row's canonical
+// telescope-event index. store::merge_stores k-way merges the N shard
+// files into one store byte-identical to a single-process `generate
+// --store` of the same config — for any N and any thread count.
 
 /// What one shard produced — the CLI summary line and the accounting the
 /// shard tests check (per-shard counts sum to the whole run's).
@@ -110,42 +143,6 @@ struct ShardRunResult {
 ShardRunResult run_shard(const LongitudinalConfig& config,
                          const ShardSpec& spec, unsigned threads,
                          const std::string& store_path);
-
-// ---- streaming day-epoch pipeline.
-//
-// Same pipeline, bounded memory: the sweep plan's days flow through
-// exec::Channel-connected stages (plan producer -> sweep -> fold/join),
-// each event joins as soon as the last day it reads has been folded, and
-// the MeasurementStore retires every day no pending join can still need
-// (the join only ever reads day d-1 baselines, attack-window days, and
-// the previous-day seen-NS sets). Epoch boundaries are pure functions of
-// the day index, so the output — joined events, join stats, the store
-// remnant, and an optional DRS file — is bit-identical to
-// run_longitudinal at any thread count and any channel capacity.
-
-struct StreamingOptions {
-  /// Days of folded state kept beyond the join watermark before eviction
-  /// (>= 1; more window only delays retirement, never changes output).
-  netsim::DayIndex window_days = 2;
-  /// Bounded capacity of each inter-stage channel (clamped to >= 1).
-  std::size_t channel_capacity = 4;
-  /// When non-empty, stream a save_run-equivalent DRS store to this path
-  /// (columns appended per retired epoch — the full store never
-  /// materialises in memory).
-  std::string store_path;
-  /// Recorded as the run.threads provenance meta when store_path is set
-  /// (save_run takes the same value as a parameter).
-  unsigned threads = 0;
-  /// Keep the full record vector in result.feed (needed by --feed-csv).
-  /// Off by default: each ingest shard's records are folded into the
-  /// incremental event stitcher (and the DRS feed columns, when
-  /// persisting) and released, so peak memory stays bounded by one
-  /// parallel region's shard output instead of the whole feed.
-  bool retain_feed = false;
-};
-
-LongitudinalResult run_longitudinal_streaming(const LongitudinalConfig& config,
-                                              const StreamingOptions& options);
 
 // ---- generate/analyze stage split (DRS dataset store, src/store/).
 //

@@ -1,12 +1,13 @@
 // Sweep/shard planning — the "plan" stage of the plan/execute/compact
-// pipeline. A longitudinal run is now three separable steps:
+// pipeline. A longitudinal run is three separable steps:
 //
 //   plan     derive_sweep_plan: the retention key sets and per-day domain
 //            sets every analysis read needs, a pure function of
 //            (world, stitched events);
-//   execute  run_longitudinal / run_shard (driver.cpp): sweep the plan's
-//            days and join the events — either the whole world in one
-//            process, or one shard of a contiguous day partition;
+//   execute  the one day-epoch driver (driver.cpp) sweeps the plan's days
+//            and joins the events: run_longitudinal over every day,
+//            run_shard over one shard's day range plus the halo days its
+//            owned events read;
 //   compact  store::merge_stores (store/merge.cpp): k-way merge the shard
 //            stores into one DRS file byte-identical to the whole run's.
 //

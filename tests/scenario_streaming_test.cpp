@@ -1,8 +1,14 @@
-// The streaming acceptance test: run_longitudinal_streaming must be
-// bit-identical to run_longitudinal — joined events, join statistics,
-// swept-measurement count, analysis summaries, and the DRS store file —
-// for any window_days and channel capacity. A ctest variant re-runs this
-// binary under DDOSREPRO_THREADS=2 to cover the multi-threaded sweep.
+// The driver's acceptance test.
+//
+// Golden digests pin the DRS store bytes of one small config: the
+// whole-run store the driver writes as it goes, the merge of its shard
+// stores, and save_run of an in-memory run must all hash to the committed
+// values, so any change to the pipeline's output or the store layout
+// fails here. The remaining cases check that a run persisting a store
+// (which retires days and feed records as it goes) reports the same
+// events, joins and analyses as an in-memory run. ctest variants re-run
+// this binary under DDOSREPRO_THREADS=1/2/4/8 to cover every sweep-pool
+// width.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -11,20 +17,22 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/analysis.h"
 #include "scenario/driver.h"
+#include "store/format.h"
+#include "store/merge.h"
 
 namespace ddos::scenario {
 namespace {
 
 // Each discovered test case runs as its own process, concurrently with
-// the whole-binary DDOSREPRO_THREADS=2/8 ctest variants — TempDir()
-// names must be per-process or parallel ctest workers race on the same
-// store file.
-std::string temp_path(const char* name) {
+// the whole-binary DDOSREPRO_THREADS ctest variants — TempDir() names
+// must be per-process or parallel ctest workers race on the same store
+// file.
+std::string temp_path(const std::string& name) {
   return (std::filesystem::path(testing::TempDir()) /
           (std::to_string(::getpid()) + "-" + name))
       .string();
@@ -46,29 +54,110 @@ LongitudinalConfig test_config() {
   return cfg;
 }
 
-void expect_equivalent(const LongitudinalResult& streamed,
-                       const LongitudinalResult& materialized,
-                       bool feed_retired = true) {
-  EXPECT_EQ(streamed.feed_records, materialized.feed_records);
-  // Streaming retires feed records shard by shard; only the count and the
-  // stitched events survive (retain_feed keeps the vector for --feed-csv).
-  EXPECT_EQ(streamed.feed.records().empty(), feed_retired);
-  ASSERT_EQ(streamed.events.size(), materialized.events.size());
-  for (std::size_t i = 0; i < streamed.events.size(); ++i) {
-    EXPECT_EQ(streamed.events[i], materialized.events[i]) << "event " << i;
+// ---- golden digests.
+
+// The store of test_config() at run.threads provenance 1 and 4 (the only
+// field that differs between them): its size and the FNV-1a 64 hash of
+// its bytes. Regenerate only together with a deliberate change to the
+// pipeline's output or the DRS layout.
+struct Golden {
+  unsigned threads;
+  std::uint64_t size;
+  std::uint64_t fnv1a;
+};
+constexpr Golden kGolden[] = {
+    {1, 6022819, 0x0c61486d87b3c101ull},
+    {4, 6022819, 0x5675afc71e147143ull},
+};
+
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
   }
-  EXPECT_EQ(streamed.swept_measurements, materialized.swept_measurements);
-  EXPECT_EQ(streamed.join_stats, materialized.join_stats);
-  ASSERT_EQ(streamed.joined.size(), materialized.joined.size());
-  for (std::size_t i = 0; i < streamed.joined.size(); ++i) {
-    EXPECT_EQ(streamed.joined[i], materialized.joined[i]) << "event " << i;
+  return h;
+}
+
+void expect_golden(const std::string& path, const Golden& golden,
+                   const std::string& what) {
+  const std::string bytes = read_file(path);
+  EXPECT_EQ(bytes.size(), golden.size) << what;
+  EXPECT_EQ(fnv1a64(bytes), golden.fnv1a)
+      << what << " differs from the golden store bytes";
+}
+
+TEST(GoldenDigest, WholeRunStore) {
+  for (const Golden& golden : kGolden) {
+    RunOptions options;
+    options.store_path = temp_path("golden-whole.drs");
+    options.threads = golden.threads;
+    const LongitudinalResult r = run_longitudinal(test_config(), options);
+    EXPECT_EQ(r.store_bytes, golden.size);
+    expect_golden(options.store_path, golden,
+                  "whole run at threads " + std::to_string(golden.threads));
+    std::filesystem::remove(options.store_path);
+  }
+}
+
+TEST(GoldenDigest, MergedShardStores) {
+  for (const Golden& golden : kGolden) {
+    for (const std::uint32_t count : {1u, 3u}) {
+      std::vector<std::string> paths;
+      for (std::uint32_t i = 0; i < count; ++i) {
+        paths.push_back(temp_path("golden-shard" + std::to_string(i) +
+                                  ".drs"));
+        run_shard(test_config(), ShardSpec{i, count}, golden.threads,
+                  paths.back());
+      }
+      const std::string merged = temp_path("golden-merged.drs");
+      store::merge_stores(merged, paths);
+      expect_golden(merged, golden,
+                    "merge of " + std::to_string(count) +
+                        " shards at threads " +
+                        std::to_string(golden.threads));
+      for (const std::string& path : paths) std::filesystem::remove(path);
+      std::filesystem::remove(merged);
+    }
+  }
+}
+
+TEST(GoldenDigest, SaveRunOfInMemoryRun) {
+  const LongitudinalResult r = run_longitudinal(test_config());
+  for (const Golden& golden : kGolden) {
+    const std::string path = temp_path("golden-save.drs");
+    EXPECT_EQ(save_run(path, test_config(), golden.threads, r), golden.size);
+    expect_golden(path, golden,
+                  "save_run at threads " + std::to_string(golden.threads));
+    std::filesystem::remove(path);
+  }
+}
+
+// ---- a persisting run reports what an in-memory run does.
+
+void expect_equivalent(const LongitudinalResult& persisted,
+                       const LongitudinalResult& in_memory,
+                       bool feed_retired = true) {
+  EXPECT_EQ(persisted.feed_records, in_memory.feed_records);
+  // A persisting run drops feed records as it streams; only the count and
+  // the stitched events survive (retain_feed keeps the vector).
+  EXPECT_EQ(persisted.feed.records().empty(), feed_retired);
+  ASSERT_EQ(persisted.events.size(), in_memory.events.size());
+  for (std::size_t i = 0; i < persisted.events.size(); ++i) {
+    EXPECT_EQ(persisted.events[i], in_memory.events[i]) << "event " << i;
+  }
+  EXPECT_EQ(persisted.swept_measurements, in_memory.swept_measurements);
+  EXPECT_EQ(persisted.join_stats, in_memory.join_stats);
+  ASSERT_EQ(persisted.joined.size(), in_memory.joined.size());
+  for (std::size_t i = 0; i < persisted.joined.size(); ++i) {
+    EXPECT_EQ(persisted.joined[i], in_memory.joined[i]) << "event " << i;
   }
 
   // Downstream analyses see identical inputs, so their summaries agree.
-  const auto ms = core::monthly_summary(streamed.events,
-                                        streamed.world->registry);
-  const auto mm = core::monthly_summary(materialized.events,
-                                        materialized.world->registry);
+  const auto ms = core::monthly_summary(persisted.events,
+                                        persisted.world->registry);
+  const auto mm = core::monthly_summary(in_memory.events,
+                                        in_memory.world->registry);
   ASSERT_EQ(ms.size(), mm.size());
   for (std::size_t i = 0; i < ms.size(); ++i) {
     EXPECT_EQ(ms[i].year, mm[i].year);
@@ -78,16 +167,16 @@ void expect_equivalent(const LongitudinalResult& streamed,
     EXPECT_EQ(ms[i].dns_ips, mm[i].dns_ips);
     EXPECT_EQ(ms[i].other_ips, mm[i].other_ips);
   }
-  const auto fs = core::failure_attribution(streamed.joined);
-  const auto fm = core::failure_attribution(materialized.joined);
+  const auto fs = core::failure_attribution(persisted.joined);
+  const auto fm = core::failure_attribution(in_memory.joined);
   EXPECT_EQ(fs.complete_failures, fm.complete_failures);
   EXPECT_EQ(fs.single_asn, fm.single_asn);
   EXPECT_EQ(fs.single_prefix, fm.single_prefix);
   EXPECT_EQ(fs.unicast, fm.unicast);
-  const auto is = core::intensity_impact_series(streamed.joined,
-                                                streamed.darknet);
-  const auto im = core::intensity_impact_series(materialized.joined,
-                                                materialized.darknet);
+  const auto is = core::intensity_impact_series(persisted.joined,
+                                                persisted.darknet);
+  const auto im = core::intensity_impact_series(in_memory.joined,
+                                                in_memory.darknet);
   EXPECT_EQ(is.n(), im.n());
   EXPECT_EQ(is.pearson, im.pearson);
 }
@@ -96,72 +185,76 @@ class StreamingTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     config_ = new LongitudinalConfig(test_config());
-    materialized_ = new LongitudinalResult(run_longitudinal(*config_));
+    in_memory_ = new LongitudinalResult(run_longitudinal(*config_));
   }
   static void TearDownTestSuite() {
-    delete materialized_;
+    delete in_memory_;
     delete config_;
-    materialized_ = nullptr;
+    in_memory_ = nullptr;
     config_ = nullptr;
   }
   static LongitudinalConfig* config_;
-  static LongitudinalResult* materialized_;
+  static LongitudinalResult* in_memory_;
 };
 
 LongitudinalConfig* StreamingTest::config_ = nullptr;
-LongitudinalResult* StreamingTest::materialized_ = nullptr;
+LongitudinalResult* StreamingTest::in_memory_ = nullptr;
 
-TEST_F(StreamingTest, MatchesMaterializedAtMinimumWindow) {
-  StreamingOptions opts;
-  opts.window_days = 1;  // tightest legal retirement
-  opts.channel_capacity = 1;
-  const auto streamed = run_longitudinal_streaming(*config_, opts);
-  expect_equivalent(streamed, *materialized_);
-}
-
-TEST_F(StreamingTest, MatchesMaterializedAtWiderWindow) {
-  StreamingOptions opts;
-  opts.window_days = 3;  // slack only delays retirement, never output
-  opts.channel_capacity = 8;
-  const auto streamed = run_longitudinal_streaming(*config_, opts);
-  expect_equivalent(streamed, *materialized_);
+TEST_F(StreamingTest, PersistingRunMatchesInMemoryRun) {
+  RunOptions opts;
+  opts.store_path = temp_path("streaming_persist.drs");
+  const auto persisted = run_longitudinal(*config_, opts);
+  expect_equivalent(persisted, *in_memory_);
+  // Every day retired into the file; the in-memory run retired none.
+  EXPECT_EQ(persisted.store.daily_entries(), 0u);
+  EXPECT_GT(in_memory_->store.daily_entries(), 0u);
+  std::filesystem::remove(opts.store_path);
 }
 
 TEST_F(StreamingTest, StreamedStoreFileIsByteIdenticalToSaveRun) {
-  const std::string mat_path = temp_path("streaming_mat.drs");
-  const std::uint64_t mat_bytes =
-      save_run(mat_path, *config_, /*threads=*/2, *materialized_);
+  const std::string mem_path = temp_path("streaming_mem.drs");
+  const std::uint64_t mem_bytes =
+      save_run(mem_path, *config_, /*threads=*/2, *in_memory_);
 
-  StreamingOptions opts;
+  RunOptions opts;
   opts.store_path = temp_path("streaming_str.drs");
   opts.threads = 2;  // provenance meta must match save_run's
-  const auto streamed = run_longitudinal_streaming(*config_, opts);
-  EXPECT_EQ(streamed.store_bytes, mat_bytes);
+  const auto streamed = run_longitudinal(*config_, opts);
+  EXPECT_EQ(streamed.store_bytes, mem_bytes);
 
-  const std::string mat = read_file(mat_path);
+  const std::string mem = read_file(mem_path);
   const std::string str = read_file(opts.store_path);
-  ASSERT_EQ(str.size(), mat.size());
-  EXPECT_TRUE(str == mat) << "streamed DRS store differs from save_run's";
+  ASSERT_EQ(str.size(), mem.size());
+  EXPECT_TRUE(str == mem) << "streamed DRS store differs from save_run's";
 
   // And the streamed file is a valid store that loads back to the run.
   const StoredRun loaded = load_run(opts.store_path);
-  EXPECT_EQ(loaded.joined, materialized_->joined);
-  EXPECT_EQ(loaded.join_stats, materialized_->join_stats);
+  EXPECT_EQ(loaded.joined, in_memory_->joined);
+  EXPECT_EQ(loaded.join_stats, in_memory_->join_stats);
+  std::filesystem::remove(mem_path);
+  std::filesystem::remove(opts.store_path);
 }
 
 TEST_F(StreamingTest, RetainFeedKeepsRecordVector) {
-  StreamingOptions opts;
+  RunOptions opts;
+  opts.store_path = temp_path("streaming_retain.drs");
   opts.retain_feed = true;  // --feed-csv path: the CSV needs the vector
-  const auto streamed = run_longitudinal_streaming(*config_, opts);
-  EXPECT_EQ(streamed.feed.records(), materialized_->feed.records());
-  expect_equivalent(streamed, *materialized_, /*feed_retired=*/false);
+  const auto streamed = run_longitudinal(*config_, opts);
+  EXPECT_EQ(streamed.feed.records(), in_memory_->feed.records());
+  expect_equivalent(streamed, *in_memory_, /*feed_retired=*/false);
+  std::filesystem::remove(opts.store_path);
 }
 
-TEST_F(StreamingTest, RejectsZeroWindowDays) {
-  StreamingOptions opts;
-  opts.window_days = 0;
-  EXPECT_THROW(run_longitudinal_streaming(*config_, opts),
-               std::invalid_argument);
+TEST_F(StreamingTest, UnwritableStorePathThrows) {
+  const std::string path =
+      (std::filesystem::path(testing::TempDir()) / "no-such-dir" / "x.drs")
+          .string();
+  RunOptions opts;
+  opts.store_path = path;
+  EXPECT_THROW(run_longitudinal(*config_, opts), store::StoreError);
+  EXPECT_THROW(run_shard(*config_, ShardSpec{0, 2}, 1, path),
+               store::StoreError);
+  EXPECT_THROW(save_run(path, *config_, 1, *in_memory_), store::StoreError);
 }
 
 }  // namespace

@@ -14,9 +14,10 @@ job, since lower-level numbers (per-probe latency, row-load MB/s) are too
 runner-sensitive to gate on.
 
 ``guarded_max`` entries are lower-is-better hard ceilings, checked without
-tolerance: the value in the baseline file IS the limit. The streaming
-pipeline's ``peak_rss_ratio`` lives here (streaming must peak at no more
-than half the materialized run's RSS), as does ``sampler_overhead_pct``
+tolerance: the value in the baseline file IS the limit. The pipeline's
+``peak_rss_bytes`` lives here (a store-writing run at the bench's heavy
+probe config must peak below an absolute VmHWM ceiling, set at half the
+peak of the in-memory driver it replaced), as does ``sampler_overhead_pct``
 (the telemetry sampler's sample bodies must cost < 1% of run wall clock
 at the default 250 ms cadence).
 

@@ -4,7 +4,6 @@
 //                      [--zone <tld> --out <file>] [--audit]
 //   ddosrepro run      [--seed N --scale X --domains N --providers N]
 //                      [--threads N] [--store <file.drs>]
-//                      [--streaming] [--window-days N]
 //                      [--events-csv <file>] [--feed-csv <file>]
 //                      [--metrics-out <file>] [--trace-out <file>] [--progress]
 //   ddosrepro generate --store <file.drs> [run flags]
@@ -35,11 +34,10 @@
 // one store byte-identical (`cmp`) to a single-process `generate
 // --store` of the same config — see scenario/plan.h and store/merge.h.
 //
-// --streaming switches run/generate to the bounded-memory day-epoch
-// pipeline (channel-connected stages; folded state retires once the
-// day-after join has consumed it) — output is bit-identical to the
-// default materializing path at any --threads and --window-days, the
-// latter only bounding how long retired-eligible days linger.
+// run/generate execute one bounded-memory day-epoch dataflow
+// (scenario/driver.h): with --store, folded sweep state is appended to the
+// store and evicted once the joins that read it are done, so the full
+// measurement store never sits in memory.
 //
 // Observability (run): --metrics-out writes a run-report JSON (config,
 // stage timings, metric snapshot, headline results) — or, with
@@ -108,16 +106,6 @@
 using namespace ddos;
 
 namespace {
-
-// Default for --window-days, overridable via DDOSREPRO_WINDOW_DAYS (the
-// same convention DDOSREPRO_THREADS uses for the worker pool).
-unsigned env_window_days() {
-  if (const char* env = std::getenv("DDOSREPRO_WINDOW_DAYS")) {
-    const unsigned long v = std::strtoul(env, nullptr, 10);
-    if (v > 0) return static_cast<unsigned>(v);
-  }
-  return 2;
-}
 
 int cmd_world(util::FlagParser& flags) {
   scenario::WorldParams params;
@@ -306,25 +294,15 @@ int cmd_run(util::FlagParser& flags) {
     watchdog->start();
   }
 
-  const bool streaming = flags.get_bool("streaming");
-  const std::string store_path = flags.get_string("store");
+  scenario::RunOptions opts;
+  opts.store_path = flags.get_string("store");
+  opts.threads = threads;
+  // A persisting run drops feed records as they are folded; only the CSV
+  // export still needs the full vector resident.
+  opts.retain_feed = !flags.get_string("feed-csv").empty();
   scenario::LongitudinalResult r;
   try {
-    if (streaming) {
-      scenario::StreamingOptions opts;
-      opts.window_days =
-          static_cast<netsim::DayIndex>(flags.get_uint("window-days"));
-      opts.threads = threads;
-      // The streaming run appends the DRS store per retired epoch instead
-      // of snapshotting at the end (the full store never materialises).
-      opts.store_path = store_path;
-      // Streaming retires feed records as they are folded; only the CSV
-      // export still needs the full vector resident.
-      opts.retain_feed = !flags.get_string("feed-csv").empty();
-      r = scenario::run_longitudinal_streaming(cfg, opts);
-    } else {
-      r = scenario::run_longitudinal(cfg);
-    }
+    r = scenario::run_longitudinal(cfg, opts);
   } catch (const store::StoreError& e) {
     std::cerr << "store error: " << e.what() << "\n";
     return 1;
@@ -337,23 +315,10 @@ int cmd_run(util::FlagParser& flags) {
                       r.events.size(), r.joined.size(), r.swept_measurements);
   print_analysis(r.joined);
 
-  if (!store_path.empty()) {
-    if (streaming) {
-      std::cout << "\nwrote dataset store ("
-                << util::format_count(static_cast<double>(r.store_bytes))
-                << "B) to " << store_path << "\n";
-    } else {
-      try {
-        const std::uint64_t bytes =
-            scenario::save_run(store_path, cfg, threads, r);
-        std::cout << "\nwrote dataset store ("
-                  << util::format_count(static_cast<double>(bytes)) << "B) to "
-                  << store_path << "\n";
-      } catch (const store::StoreError& e) {
-        std::cerr << "store error: " << e.what() << "\n";
-        return 1;
-      }
-    }
+  if (!opts.store_path.empty()) {
+    std::cout << "\nwrote dataset store ("
+              << util::format_count(static_cast<double>(r.store_bytes))
+              << "B) to " << opts.store_path << "\n";
   }
 
   const std::string events_path = flags.get_string("events-csv");
@@ -396,7 +361,6 @@ int cmd_run(util::FlagParser& flags) {
         {"providers", std::to_string(flags.get_int("providers"))},
         {"scale", util::format_fixed(flags.get_double("scale"), 2)},
         {"threads", std::to_string(threads)},
-        {"pipeline", streaming ? "streaming" : "materialized"},
         {"wall time",
          util::format_fixed(
              static_cast<double>(observer->tracer().now_ns()) / 1e9, 2) +
@@ -448,16 +412,10 @@ int cmd_run(util::FlagParser& flags) {
 
 // `generate --shard i/N`: execute one shard of the deterministic N-way
 // day partition (scenario/plan.h) and write an independent shard store.
-// Kept apart from cmd_run — the shard path is always materialized (the
-// shard store layout needs the full pre-merge join vector) and prints a
-// shard accounting line instead of the whole-run analyses.
+// Kept apart from cmd_run: a shard joins only the events it owns, so it
+// prints a shard accounting line instead of the whole-run analyses.
 int cmd_generate_shard(util::FlagParser& flags,
                        const scenario::ShardSpec& shard) {
-  if (flags.get_bool("streaming")) {
-    std::cerr << "--shard uses the materialized driver; drop --streaming "
-                 "(the merged store is byte-identical either way)\n";
-    return 2;
-  }
   scenario::LongitudinalConfig cfg = scenario::default_longitudinal_config();
   cfg.world.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   cfg.world.domain_count =
@@ -981,6 +939,12 @@ int cmd_serve(util::FlagParser& flags) {
     sopts.port = port;
     sopts.threads = threads;
     net::Server server(std::move(handle), sopts);
+    // Handlers go in before the server starts: a harness may send SIGTERM
+    // the moment it reads the "listening on" line below, and that signal
+    // must request the graceful drain, not kill the process.
+    g_serve_stop = 0;
+    std::signal(SIGINT, on_serve_signal);
+    std::signal(SIGTERM, on_serve_signal);
     try {
       server.start();
     } catch (const std::exception& e) {
@@ -997,9 +961,6 @@ int cmd_serve(util::FlagParser& flags) {
     // Flushed immediately: harnesses parse the resolved port from this line.
     std::cout << ")" << std::endl;
 
-    g_serve_stop = 0;
-    std::signal(SIGINT, on_serve_signal);
-    std::signal(SIGTERM, on_serve_signal);
     std::error_code ec;
     auto last_mtime = std::filesystem::last_write_time(store_path, ec);
     std::uint64_t epoch = 0;
@@ -1190,17 +1151,6 @@ int main(int argc, char** argv) {
                  "worker threads for the pipeline; results are identical "
                  "for any value (run/generate/analyze)",
                  1, 4096);
-  flags.add_bool("streaming",
-                 "run the bounded-memory day-epoch pipeline; output is "
-                 "bit-identical to the default path (run/generate)");
-  // Like --threads, the default honours an environment override
-  // (DDOSREPRO_WINDOW_DAYS) so test harnesses can vary it without
-  // rewriting command lines; 0 is rejected by the flag's range.
-  flags.add_uint("window-days", env_window_days(),
-                 "days of folded state the streaming store keeps beyond "
-                 "the join watermark before retiring them; any value >= 1 "
-                 "yields identical output (run/generate with --streaming)",
-                 1, 1000000);
   flags.add_string("zone", "", "TLD to export as a parent-zone file");
   flags.add_string("out", "", "output path for --zone");
   flags.add_string("events-csv", "", "events CSV path (run: write; analyze: read)");
