@@ -56,6 +56,8 @@ class Client {
   void connect(const std::string& host, std::uint16_t port);
   void close();
   bool connected() const { return fd_ >= 0; }
+  /// The socket, for callers that wait on it (ppoll) between sends.
+  int fd() const { return fd_; }
 
   /// Synchronous Hello round trip (flushes any queued requests first).
   HelloResult hello(std::uint32_t request_id = 0);

@@ -1,8 +1,12 @@
 #include "net/remote.h"
 
+#include <poll.h>
+#include <sys/prctl.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <ctime>
 #include <deque>
 #include <exception>
 #include <stdexcept>
@@ -101,6 +105,9 @@ void run_open_loop(const ThreadArgs& args) {
   serve::ParticipantOutcome& me = *args.out;
   std::uint64_t fp = 0;
 
+  // 1 ns timer slack: ppoll wakes at the due time, not up to the default
+  // 50 us later (the setting is per thread).
+  ::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
   const double qps_thread =
       args.options->target_qps /
       static_cast<double>(args.options->connections);
@@ -144,15 +151,24 @@ void run_open_loop(const ThreadArgs& args) {
       complete(client.recv());  // blocking tail drain
       continue;
     }
-    // Drain completions opportunistically while waiting for the slot; the
-    // send itself happens at (or as soon as possible after) the intended
-    // time even when earlier responses are still outstanding.
-    while (Clock::now() < intended) {
+    // Drain completions while waiting for the slot: ppoll wakes on an
+    // answer's arrival, so it is timestamped when it lands rather than at
+    // the next send slot, and on the slot itself otherwise. The send
+    // happens at (or as soon as possible after) the intended time even
+    // when earlier responses are still outstanding.
+    for (Clock::time_point now = Clock::now(); now < intended;
+         now = Clock::now()) {
       if (const Answer* answer = client.try_recv()) {
         complete(*answer);
-      } else {
-        std::this_thread::sleep_until(intended);
+        continue;
       }
+      const auto wait = std::chrono::duration_cast<std::chrono::nanoseconds>(
+          intended - now);
+      timespec ts{};
+      ts.tv_sec = static_cast<time_t>(wait.count() / 1'000'000'000);
+      ts.tv_nsec = static_cast<long>(wait.count() % 1'000'000'000);
+      pollfd pfd{client.fd(), POLLIN, 0};
+      ::ppoll(&pfd, 1, &ts, nullptr);
     }
     const serve::Op op = wl.next();
     client.queue_op(op, static_cast<std::uint32_t>(sent));

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <optional>
@@ -277,56 +278,85 @@ LongitudinalResult execute(const LongitudinalConfig& config,
   }
 
   // Telescope: observe backscatter, infer the feed, stitch events. Each
-  // ingest shard's records fold into the incremental stitcher (and the
-  // store's feed columns) in records order, and EventStitcher::finish
-  // equals segment_events over the same multiset, so events, columns and
-  // counts equal a batch ingest's. The record vector itself is kept only
-  // for an in-memory run or retain_feed.
+  // ingest shard's records become, on the worker that produced them, an
+  // EventStitcher fragment and — for a whole persisting run — that
+  // shard's encoded feed columns. The ordered sink only absorbs the
+  // fragments and splices their column bytes in records order, so events,
+  // columns and counts equal a batch ingest's. The record vector itself
+  // is kept only for an in-memory run or retain_feed.
   //
   // A shard persists only its shard_feed_slice of the record stream, whose
-  // bounds depend on the final count, so it holds back the ingest chunks
-  // that can still overlap it: since the final count is at least the
-  // `seen` count so far, record k is below the slice once
-  // k < seen * index / count.
+  // bounds depend on the final count, so it holds back the records that
+  // can still overlap it. The final count is at least the `seen` count so
+  // far, so record k is settled once k < seen * max(index, 1) / count:
+  // below the slice of a shard with index > 0, and surely inside shard 0's
+  // slice (which starts at row 0), which therefore encodes it right away.
   const bool keep_records = !writer || options.retain_feed;
   std::uint64_t feed_rows = 0;  // feed rows this run persists
   {
     obs::ScopedSpan span(tracer, "telescope.infer");
     result.feed = telescope::RSDoSFeed(config.inference, config.backscatter);
+    struct Fragment {
+      telescope::EventStitcher stitcher;
+      std::optional<store::FeedColumnsAppender> columns;
+      std::vector<telescope::RSDoSRecord> records;  // in-memory run, shard
+    };
+    const bool splice_columns = writer && !shard;
+    const bool pass_records = keep_records || shard;
     telescope::EventStitcher stitcher(config.inference);
     std::optional<store::FeedColumnsAppender> feed_columns;
     if (writer) feed_columns.emplace();
-    std::deque<std::vector<telescope::RSDoSRecord>> held;  // shard only
+    std::vector<telescope::RSDoSRecord> kept;
+    std::deque<telescope::RSDoSRecord> held;  // shard only
     std::uint64_t held_from = 0;  // stream index of held's first record
     std::uint64_t seen = 0;
     result.feed_records = result.feed.ingest_stream(
         result.workload.schedule, result.darknet, config.feed_seed,
         [&](std::vector<telescope::RSDoSRecord>&& records) {
+          Fragment frag{telescope::EventStitcher(config.inference),
+                        std::nullopt,
+                        {}};
           for (const telescope::RSDoSRecord& rec : records) {
-            stitcher.add(rec);
-            if (keep_records) result.feed.add_record(rec);
-            if (feed_columns && !shard) feed_columns->append(rec);
+            frag.stitcher.add(rec);
           }
-          if (!shard) return;
-          seen += records.size();
-          held.push_back(std::move(records));
-          const std::uint64_t below = seen * shard->index / shard->count;
-          while (!held.empty() &&
-                 held_from + held.front().size() <= below) {
-            held_from += held.front().size();
+          if (splice_columns) {
+            frag.columns.emplace();
+            for (const telescope::RSDoSRecord& rec : records) {
+              frag.columns->append(rec);
+            }
+          }
+          if (pass_records) frag.records = std::move(records);
+          return frag;
+        },
+        [&](Fragment&& frag) {
+          stitcher.absorb(std::move(frag.stitcher));
+          if (frag.columns) feed_columns->splice(*frag.columns);
+          if (!shard) {
+            if (keep_records) {
+              kept.insert(kept.end(),
+                          std::make_move_iterator(frag.records.begin()),
+                          std::make_move_iterator(frag.records.end()));
+            }
+            return;
+          }
+          seen += frag.records.size();
+          held.insert(held.end(), frag.records.begin(), frag.records.end());
+          const std::uint64_t settled =
+              seen * std::max<std::uint64_t>(shard->index, 1) / shard->count;
+          for (; held_from < settled; ++held_from) {
+            if (shard->index == 0) feed_columns->append(held.front());
             held.pop_front();
           }
         });
+    if (keep_records) result.feed.set_records(std::move(kept));
     feed_rows = result.feed_records;
     if (shard) {
       const auto [feed_lo, feed_hi] =
           shard_feed_slice(result.feed_records, *shard);
       std::uint64_t k = held_from;
-      for (const auto& chunk : held) {
-        for (const telescope::RSDoSRecord& rec : chunk) {
-          if (k >= feed_lo && k < feed_hi) feed_columns->append(rec);
-          ++k;
-        }
+      for (const telescope::RSDoSRecord& rec : held) {
+        if (k >= feed_lo && k < feed_hi) feed_columns->append(rec);
+        ++k;
       }
       feed_rows = feed_hi - feed_lo;
     }
@@ -818,8 +848,9 @@ StoredRun load_run(const std::string& path, bool use_mmap) {
               run.feed_records);
 
   // Stitched events are not stored: they are a deterministic function of
-  // the records + inference params, so re-deriving them is both cheaper
-  // and a consistency check against the stored count.
+  // the records + inference params, so re-deriving them (a parallel
+  // stitch, traced as feed.stitch inside this store.read span) is both
+  // cheaper and a consistency check against the stored count.
   run.events = run.feed.events();
   check_count(reader, "stitched event", meta_u64(reader, "result.events"),
               run.events.size());

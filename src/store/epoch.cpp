@@ -1,21 +1,61 @@
 #include "store/epoch.h"
 
+#include <algorithm>
 #include <bit>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 namespace ddos::store {
 
+void Payload::append(const Payload& other, std::size_t skip) {
+  const auto add = [&](std::string_view piece) {
+    const std::size_t drop = std::min(skip, piece.size());
+    skip -= drop;
+    piece.remove_prefix(drop);
+    while (!piece.empty()) {
+      std::string& out = tail();
+      const std::size_t n = std::min(piece.size(), kPieceBytes - out.size());
+      out.append(piece.substr(0, n));
+      piece.remove_prefix(n);
+    }
+  };
+  for (const std::string& piece : other.sealed_) add(piece);
+  add(other.tail_);
+}
+
+std::pair<std::uint64_t, std::size_t> Payload::front_varint() const {
+  // Sealed pieces are never empty, so the payload starts in the first.
+  const std::string& head = sealed_.empty() ? tail_ : sealed_.front();
+  std::size_t pos = 0;
+  std::uint64_t v = 0;
+  if (!get_varint(head, pos, v)) {
+    throw StoreError("column payload does not start with a varint");
+  }
+  return {v, pos};
+}
+
+void Payload::flush_to(Writer& writer, std::string_view dataset,
+                       std::string_view column, ColumnType type,
+                       Encoding encoding, std::uint64_t rows) const {
+  std::vector<std::string_view> pieces(sealed_.begin(), sealed_.end());
+  pieces.push_back(tail_);
+  writer.add_encoded(dataset, column, type, encoding, rows, pieces);
+}
+
 void U64Appender::append(std::uint64_t v) {
+  std::string& out = payload_.tail();
   switch (encoding_) {
     case Encoding::DeltaVarint:
-      put_varint(payload_,
-                 zigzag_encode(static_cast<std::int64_t>(v - prev_)));
+      put_varint(out, zigzag_encode(static_cast<std::int64_t>(v - prev_)));
       prev_ = v;
       break;
     case Encoding::Varint:
-      put_varint(payload_, v);
+      put_varint(out, v);
       break;
     case Encoding::Fixed:
-      put_fixed64(payload_, v);
+      put_fixed64(out, v);
       break;
     case Encoding::StringBlock:
       throw StoreError("u64 column cannot use string-block encoding");
@@ -23,8 +63,25 @@ void U64Appender::append(std::uint64_t v) {
   ++rows_;
 }
 
+void U64Appender::splice(const U64Appender& fragment) {
+  if (fragment.rows_ == 0) return;
+  std::size_t skip = 0;
+  if (encoding_ == Encoding::DeltaVarint) {
+    // The fragment started from prev = 0, so its first delta is its first
+    // value; re-encode that one against the carried prev.
+    const auto [first_delta, length] = fragment.payload_.front_varint();
+    const auto first = static_cast<std::uint64_t>(zigzag_decode(first_delta));
+    put_varint(payload_.tail(),
+               zigzag_encode(static_cast<std::int64_t>(first - prev_)));
+    prev_ = fragment.prev_;
+    skip = length;
+  }
+  payload_.append(fragment.payload_, skip);
+  rows_ += fragment.rows_;
+}
+
 void F64Appender::append(double v) {
-  put_fixed64(payload_, std::bit_cast<std::uint64_t>(v));
+  put_fixed64(payload_.tail(), std::bit_cast<std::uint64_t>(v));
   ++rows_;
 }
 
@@ -37,6 +94,17 @@ void FeedColumnsAppender::append(const telescope::RSDoSRecord& record) {
   unique_ports_.append(record.unique_ports);
   max_ppm_.append(record.max_ppm);
   packets_.append(record.packets);
+}
+
+void FeedColumnsAppender::splice(const FeedColumnsAppender& fragment) {
+  window_.splice(fragment.window_);
+  victim_.splice(fragment.victim_);
+  slash16_.splice(fragment.slash16_);
+  protocol_.splice(fragment.protocol_);
+  first_port_.splice(fragment.first_port_);
+  unique_ports_.splice(fragment.unique_ports_);
+  max_ppm_.splice(fragment.max_ppm_);
+  packets_.splice(fragment.packets_);
 }
 
 void FeedColumnsAppender::flush_to(Writer& writer) const {

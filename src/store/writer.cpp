@@ -26,7 +26,8 @@ void Writer::add_meta(std::string_view key, std::string_view value) {
 
 void Writer::append_block(std::string_view dataset, std::string_view column,
                           ColumnType type, Encoding encoding,
-                          std::uint64_t rows, const std::string& payload) {
+                          std::uint64_t rows,
+                          std::span<const std::string_view> pieces) {
   if (finished_) throw StoreError("Writer: add after finish()");
   // Format v3: zero-pad so every payload starts 8-byte aligned and a
   // mapped reader can hand out Fixed f64 columns as aligned spans.
@@ -43,10 +44,12 @@ void Writer::append_block(std::string_view dataset, std::string_view column,
   desc.encoding = encoding;
   desc.rows = rows;
   desc.offset = offset_;
-  desc.size = payload.size();
-  desc.crc = crc32c(payload);
-  out_.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  offset_ += payload.size();
+  for (const std::string_view piece : pieces) {
+    desc.crc = crc32c(piece, desc.crc);
+    out_.write(piece.data(), static_cast<std::streamsize>(piece.size()));
+    desc.size += piece.size();
+  }
+  offset_ += desc.size;
   columns_.push_back(std::move(desc));
 }
 

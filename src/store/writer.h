@@ -42,8 +42,14 @@ class Writer {
                    std::span<const std::string> values);
 
   /// Append a block whose payload was encoded incrementally elsewhere
-  /// (store::EpochAppender builds payloads across streaming epochs). The
-  /// caller vouches that `payload` is a valid encoding of `rows` rows.
+  /// (the store/epoch.h appenders build payloads across streaming epochs),
+  /// whole or as consecutive pieces written back to back. The caller
+  /// vouches that the payload is a valid encoding of `rows` rows.
+  void add_encoded(std::string_view dataset, std::string_view column,
+                   ColumnType type, Encoding encoding, std::uint64_t rows,
+                   std::span<const std::string_view> pieces) {
+    append_block(dataset, column, type, encoding, rows, pieces);
+  }
   void add_encoded(std::string_view dataset, std::string_view column,
                    ColumnType type, Encoding encoding, std::uint64_t rows,
                    const std::string& payload) {
@@ -61,7 +67,12 @@ class Writer {
  private:
   void append_block(std::string_view dataset, std::string_view column,
                     ColumnType type, Encoding encoding, std::uint64_t rows,
-                    const std::string& payload);
+                    std::span<const std::string_view> pieces);
+  void append_block(std::string_view dataset, std::string_view column,
+                    ColumnType type, Encoding encoding, std::uint64_t rows,
+                    std::string_view payload) {
+    append_block(dataset, column, type, encoding, rows, {&payload, 1});
+  }
 
   std::ofstream out_;
   std::uint64_t offset_ = 0;

@@ -4,14 +4,19 @@
 // (footnote 2: victim pps ≈ telescope ppm × extrapolation / 60).
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <ostream>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "attack/schedule.h"
+#include "exec/parallel.h"
+#include "netsim/rng.h"
+#include "obs/obs.h"
 #include "telescope/darknet.h"
 #include "telescope/rsdos.h"
 
@@ -34,18 +39,21 @@ class RSDoSFeed {
   void ingest(const attack::AttackSchedule& schedule, const Darknet& darknet,
               std::uint64_t seed);
 
-  /// Streaming ingest: instead of retaining the records, hand each
-  /// parallel shard's batch to `sink` — in deterministic shard order, so
-  /// concatenating the batches reproduces exactly what ingest() would have
-  /// appended to records(). The records are moved out and released as soon
-  /// as the sink returns, which is what bounds the streaming driver's
-  /// memory: the sink folds them into the incremental event stitcher and
-  /// the DRS feed columns, never a full vector. Returns the record count;
-  /// identical observer metrics to ingest().
-  std::size_t ingest_stream(
-      const attack::AttackSchedule& schedule, const Darknet& darknet,
-      std::uint64_t seed,
-      const std::function<void(std::vector<RSDoSRecord>&&)>& sink);
+  /// Streaming ingest: instead of retaining the records, run
+  /// `step(std::vector<RSDoSRecord>&&)` on the worker that produced each
+  /// parallel shard's batch and hand the fragment it returns to
+  /// `sink(Fragment&&)` on the calling thread, in deterministic shard
+  /// order — so concatenating the batches in sink order reproduces exactly
+  /// what ingest() would have appended to records(). The step is where
+  /// per-record work belongs (a stitcher fragment, encoded feed columns);
+  /// the sink only merges fragments. Records the step does not keep are
+  /// released as soon as it returns, which is what bounds the streaming
+  /// driver's memory. Returns the record count; identical observer metrics
+  /// to ingest().
+  template <typename Step, typename Sink>
+  std::size_t ingest_stream(const attack::AttackSchedule& schedule,
+                            const Darknet& darknet, std::uint64_t seed,
+                            const Step& step, const Sink& sink);
 
   /// Append a pre-built record (tests / replays).
   void add_record(const RSDoSRecord& record) { records_.push_back(record); }
@@ -103,9 +111,80 @@ class RSDoSFeed {
   const InferenceParams& inference() const { return inference_; }
 
  private:
+  /// Records of attacks [begin, end) that pass the inference thresholds,
+  /// in (attack, window) order; counts the windows looked at.
+  std::vector<RSDoSRecord> observe(
+      const std::vector<attack::AttackSpec>& attacks, std::size_t begin,
+      std::size_t end, const netsim::Rng& base, const Darknet& darknet,
+      std::uint64_t& windows_observed) const;
+
   InferenceParams inference_;
   attack::BackscatterModelParams model_;
   std::vector<RSDoSRecord> records_;
 };
+
+template <typename Step, typename Sink>
+std::size_t RSDoSFeed::ingest_stream(const attack::AttackSchedule& schedule,
+                                     const Darknet& darknet,
+                                     std::uint64_t seed, const Step& step,
+                                     const Sink& sink) {
+  obs::ScopedSpan span(obs::installed_tracer(), "feed.ingest");
+  const auto& attacks = schedule.attacks();
+  // Parent stream for per-attack splits: each attack's RNG is a pure
+  // function of (seed, attack id), so shards can process attacks in any
+  // order and re-ingesting reproduces the same feed.
+  const netsim::Rng base(netsim::mix64(seed));
+
+  using Fragment =
+      std::invoke_result_t<const Step&, std::vector<RSDoSRecord>&&>;
+  struct ShardOut {
+    Fragment fragment;
+    std::uint64_t windows_observed = 0;
+    std::uint64_t records = 0;
+  };
+  struct Totals {
+    std::uint64_t windows_observed = 0;
+    std::uint64_t records = 0;
+  };
+  // The schedule is processed in bounded chunks of attacks, one parallel
+  // region per chunk, so at most one chunk's shard outputs are ever
+  // resident — that region is the streaming pipeline's peak-memory term.
+  // Order is unaffected: shards (and chunks) are contiguous ascending
+  // attack ranges, each attack's records are emitted in window order, and
+  // the ordered reduction hands shards to the sink in shard-index order —
+  // so the concatenated stream is identical for any chunking, any shard
+  // decomposition and any thread count, and matches what ingest() appends
+  // to records().
+  constexpr std::size_t kAttacksPerRegion = 4096;
+  Totals totals;
+  for (std::size_t chunk = 0; chunk < attacks.size();
+       chunk += kAttacksPerRegion) {
+    const std::size_t chunk_size =
+        std::min(kAttacksPerRegion, attacks.size() - chunk);
+    exec::RegionOptions opts;
+    opts.label = "feed.ingest";
+    totals = exec::parallel_map_reduce(
+        chunk_size, opts, totals,
+        [&](const exec::ShardRange& range) {
+          std::uint64_t windows = 0;
+          std::vector<RSDoSRecord> records =
+              observe(attacks, chunk + range.begin, chunk + range.end, base,
+                      darknet, windows);
+          const std::uint64_t count = records.size();
+          return ShardOut{step(std::move(records)), windows, count};
+        },
+        [&sink](Totals& total, ShardOut&& shard) {
+          total.windows_observed += shard.windows_observed;
+          total.records += shard.records;
+          sink(std::move(shard.fragment));
+        });
+  }
+  span.set_items(totals.windows_observed);
+  if (obs::Observer* o = obs::Observer::installed()) {
+    o->pipeline.feed_windows_observed.inc(totals.windows_observed);
+    o->pipeline.feed_records.inc(totals.records);
+  }
+  return totals.records;
+}
 
 }  // namespace ddos::telescope

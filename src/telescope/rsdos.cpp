@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cstddef>
 #include <tuple>
+#include <utility>
 
+#include "exec/parallel.h"
+#include "obs/obs.h"
 #include "util/strings.h"
 
 namespace ddos::telescope {
@@ -78,43 +81,25 @@ bool record_less(const RSDoSRecord& a, const RSDoSRecord& b) {
   return tail(a) < tail(b);
 }
 
-std::vector<RSDoSEvent> segment_events(std::vector<RSDoSRecord> records,
-                                       const InferenceParams& params) {
-  std::sort(records.begin(), records.end(), record_less);
-  std::vector<RSDoSEvent> events;
-  for (std::size_t i = 0; i < records.size();) {
-    const RSDoSRecord& first = records[i];
-    RSDoSEvent ev;
-    ev.victim = first.victim;
-    ev.start_window = ev.end_window = first.window;
-    ev.max_ppm = first.max_ppm;
-    ev.total_packets = first.packets;
-    ev.max_slash16 = first.distinct_slash16;
-    ev.protocol = first.protocol;
-    ev.first_port = first.first_port;
-    ev.max_unique_ports = first.unique_ports;
-    std::size_t j = i + 1;
-    while (j < records.size() && records[j].victim == ev.victim &&
-           records[j].window - ev.end_window <=
-               static_cast<netsim::WindowIndex>(params.max_gap_windows) + 1) {
-      ev.end_window = records[j].window;
-      ev.max_ppm = std::max(ev.max_ppm, records[j].max_ppm);
-      ev.total_packets += records[j].packets;
-      ev.max_slash16 = std::max(ev.max_slash16, records[j].distinct_slash16);
-      ev.max_unique_ports =
-          std::max(ev.max_unique_ports, records[j].unique_ports);
-      ++j;
-    }
-    events.push_back(ev);
-    i = j;
-  }
-  return events;
+namespace {
+
+// Fold run b into run a (same victim, within reach of each other). Every
+// fold is commutative, so merge order never shows in the result.
+template <typename Run>
+void fold_run(Run& a, const Run& b) {
+  if (record_less(b.head, a.head)) a.head = b.head;
+  a.start = std::min(a.start, b.start);
+  a.end = std::max(a.end, b.end);
+  a.max_ppm = std::max(a.max_ppm, b.max_ppm);
+  a.total_packets += b.total_packets;
+  a.max_slash16 = std::max(a.max_slash16, b.max_slash16);
+  a.max_unique_ports = std::max(a.max_unique_ports, b.max_unique_ports);
 }
+
+}  // namespace
 
 void EventStitcher::add(const RSDoSRecord& record) {
   ++records_added_;
-  const netsim::WindowIndex reach =
-      static_cast<netsim::WindowIndex>(params_.max_gap_windows) + 1;
   std::vector<Run>& runs = victims_[record.victim.value()];
 
   Run single;
@@ -125,46 +110,89 @@ void EventStitcher::add(const RSDoSRecord& record) {
   single.max_slash16 = record.distinct_slash16;
   single.max_unique_ports = record.unique_ports;
 
-  // Insert after the last run whose start <= record.window, then merge
-  // with the neighbours the new window now bridges. Runs are separated by
-  // gaps > reach, so at most one merge per side can fire: merging left
-  // extends end to at most max(left.end, window), and the run past the
-  // right neighbour stays > reach away from the right neighbour's end.
+  // An attack's records arrive in window order, so the common case lands
+  // at or past the last run's start: extend it or open a new last run.
+  if (runs.empty() || record.window >= runs.back().start) {
+    if (!runs.empty() && record.window - runs.back().end <= reach()) {
+      fold_run(runs.back(), single);
+    } else {
+      runs.push_back(single);
+    }
+    return;
+  }
+  // Otherwise insert after the last run whose start <= record.window and
+  // merge with the neighbours the new window now bridges.
   const auto pos = std::upper_bound(
       runs.begin(), runs.end(), record.window,
       [](netsim::WindowIndex w, const Run& r) { return w < r.start; });
-  std::size_t i = static_cast<std::size_t>(pos - runs.begin());
+  const std::size_t i = static_cast<std::size_t>(pos - runs.begin());
   runs.insert(pos, single);
+  coalesce(runs, i > 0 ? i - 1 : 0);
+}
 
-  const auto merge_into = [&](std::size_t left) {
-    Run& a = runs[left];
-    const Run& b = runs[left + 1];
-    if (record_less(b.head, a.head)) a.head = b.head;
-    a.start = std::min(a.start, b.start);
-    a.end = std::max(a.end, b.end);
-    a.max_ppm = std::max(a.max_ppm, b.max_ppm);
-    a.total_packets += b.total_packets;
-    a.max_slash16 = std::max(a.max_slash16, b.max_slash16);
-    a.max_unique_ports = std::max(a.max_unique_ports, b.max_unique_ports);
-    runs.erase(runs.begin() + static_cast<std::ptrdiff_t>(left) + 1);
-  };
-  if (i > 0 && runs[i].start - runs[i - 1].end <= reach) {
-    merge_into(--i);
+void EventStitcher::coalesce(std::vector<Run>& runs, std::size_t from) const {
+  // Interval merge over start-sorted runs: a run within reach of the
+  // current one's end bridges into it. Gap-connected record sets stay
+  // gap-connected under union, so the result is exactly the runs of the
+  // combined records.
+  std::size_t out = from;
+  for (std::size_t i = from + 1; i < runs.size(); ++i) {
+    if (runs[i].start - runs[out].end <= reach()) {
+      fold_run(runs[out], runs[i]);
+    } else if (++out != i) {
+      runs[out] = runs[i];
+    }
   }
-  if (i + 1 < runs.size() && runs[i + 1].start - runs[i].end <= reach) {
-    merge_into(i);
-  }
+  runs.resize(out + 1);
+}
+
+void EventStitcher::absorb(EventStitcher&& other) {
+  records_added_ += other.records_added_;
+  other.records_added_ = 0;
+  victims_.reserve(victims_.size() + other.victims_.size());
+  other.victims_.for_each([this](std::uint32_t victim,
+                                 std::vector<Run>& theirs) {
+    const auto [slot, inserted] = victims_.try_emplace(victim);
+    std::vector<Run>& runs = *slot;
+    if (inserted) {
+      runs = std::move(theirs);
+      return;
+    }
+    // Runs of ours that start after theirs' first run are the only ones
+    // out of order once theirs are appended; merge just that tail (none
+    // when the fragments arrive in time order, the common case).
+    const auto first = std::upper_bound(
+        runs.begin(), runs.end(), theirs.front().start,
+        [](netsim::WindowIndex w, const Run& r) { return w < r.start; });
+    const std::size_t from = static_cast<std::size_t>(first - runs.begin());
+    const std::size_t old_size = runs.size();
+    runs.insert(runs.end(), theirs.begin(), theirs.end());
+    if (from < old_size) {
+      std::inplace_merge(
+          runs.begin() + static_cast<std::ptrdiff_t>(from),
+          runs.begin() + static_cast<std::ptrdiff_t>(old_size), runs.end(),
+          [](const Run& a, const Run& b) { return a.start < b.start; });
+    }
+    coalesce(runs, from > 0 ? from - 1 : 0);
+  });
+  other.victims_.clear();
 }
 
 std::vector<RSDoSEvent> EventStitcher::finish() const {
-  std::vector<std::uint32_t> victims;
+  std::vector<std::pair<std::uint32_t, const std::vector<Run>*>> victims;
   victims.reserve(victims_.size());
-  for (const auto& [victim, runs] : victims_) victims.push_back(victim);
-  std::sort(victims.begin(), victims.end());
+  std::size_t total = 0;
+  victims_.for_each([&](std::uint32_t victim, const std::vector<Run>& runs) {
+    victims.emplace_back(victim, &runs);
+    total += runs.size();
+  });
+  std::sort(victims.begin(), victims.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
 
   std::vector<RSDoSEvent> events;
-  for (const std::uint32_t victim : victims) {
-    for (const Run& run : victims_.at(victim)) {
+  events.reserve(total);
+  for (const auto& [victim, runs] : victims) {
+    for (const Run& run : *runs) {
       RSDoSEvent ev;
       ev.victim = netsim::IPv4Addr(victim);
       ev.start_window = run.start;
@@ -179,6 +207,27 @@ std::vector<RSDoSEvent> EventStitcher::finish() const {
     }
   }
   return events;
+}
+
+std::vector<RSDoSEvent> stitch_events(std::span<const RSDoSRecord> records,
+                                      const InferenceParams& params) {
+  obs::ScopedSpan span(obs::installed_tracer(), "feed.stitch");
+  span.set_items(records.size());
+  exec::RegionOptions opts;
+  opts.label = "feed.stitch";
+  const EventStitcher all = exec::parallel_map_reduce(
+      records.size(), opts, EventStitcher(params),
+      [&](const exec::ShardRange& range) {
+        EventStitcher part(params);
+        for (std::size_t i = range.begin; i < range.end; ++i) {
+          part.add(records[i]);
+        }
+        return part;
+      },
+      [](EventStitcher& acc, EventStitcher&& part) {
+        acc.absorb(std::move(part));
+      });
+  return all.finish();
 }
 
 std::vector<DayEventBatch> group_events_by_day(

@@ -8,19 +8,21 @@
 //
 // Records for the same victim separated by at most `max_gap_windows` empty
 // windows are then stitched into RSDoSEvents, the unit of the paper's
-// duration analysis (§6.5).
+// duration analysis (§6.5), by EventStitcher fragments merged in parallel.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "attack/backscatter.h"
 #include "netsim/ipv4.h"
 #include "netsim/simtime.h"
+#include "util/flat_map.h"
 
 namespace ddos::telescope {
 
@@ -91,34 +93,34 @@ struct RSDoSEvent {
 /// Total order on feed records: (victim, window) first — the canonical
 /// event order — then every remaining field as a tie-break. Two attacks
 /// can hit one victim in the same window (victim reuse), and the stitched
-/// event's protocol/first_port come from the run's first record, so the
-/// sort must not leave that choice to the sort algorithm: under a total
-/// order, batch segmentation and the incremental stitcher pick the same
-/// head record no matter how the input was produced.
+/// event's protocol/first_port come from the run's first record, so that
+/// choice must not depend on arrival order: under a total order every
+/// stitch, however its input was split or ordered, picks the same head.
 bool record_less(const RSDoSRecord& a, const RSDoSRecord& b);
 
-/// Stitch per-window records (any order) into events per victim.
-std::vector<RSDoSEvent> segment_events(std::vector<RSDoSRecord> records,
-                                       const InferenceParams& params);
-
-/// Incremental event stitcher: accepts records one at a time in any order
-/// and, on finish(), yields exactly segment_events' output — without ever
-/// holding the record vector. Per victim it maintains disjoint runs
-/// (adjacent runs separated by more than max_gap_windows+1 windows); a new
-/// record inserts as a singleton run and merges with at most one neighbour
-/// on each side. Each run keeps only the record_less-minimal record (the
-/// head, which supplies protocol/first_port) plus order-independent folds
-/// (max_ppm, total_packets, max_slash16, max_unique_ports), so memory is
-/// O(events), not O(records). This is what lets the streaming driver
-/// retire feed records shard by shard.
+/// Event stitcher: accepts records one at a time in any order, merges
+/// with other stitchers built over other parts of the feed, and on
+/// finish() yields the events of the whole record multiset. Per victim it
+/// keeps disjoint runs sorted by start (neighbours separated by more than
+/// max_gap_windows+1 windows). Each run keeps only its record_less-minimal
+/// record (the head, which supplies protocol/first_port) plus order-
+/// independent folds (max_ppm, total_packets, max_slash16,
+/// max_unique_ports), so memory is O(events), not O(records), and the
+/// result does not depend on how the records were split across stitchers
+/// or in which order they arrived or were absorbed.
 class EventStitcher {
  public:
   explicit EventStitcher(const InferenceParams& params) : params_(params) {}
 
   void add(const RSDoSRecord& record);
 
-  /// Events in canonical (victim, start_window) order — bit-identical to
-  /// segment_events over the same record multiset.
+  /// Merge `other`'s runs into this stitcher (per victim: merge the two
+  /// start-sorted run lists, then coalesce runs within max_gap_windows+1
+  /// of each other). Afterwards this stitcher equals one that was given
+  /// both stitchers' records; `other` is left empty.
+  void absorb(EventStitcher&& other);
+
+  /// Events in canonical (victim, start_window) order.
   std::vector<RSDoSEvent> finish() const;
 
   std::uint64_t records_added() const { return records_added_; }
@@ -134,12 +136,26 @@ class EventStitcher {
     std::uint16_t max_unique_ports = 1;
   };
 
+  netsim::WindowIndex reach() const {
+    return static_cast<netsim::WindowIndex>(params_.max_gap_windows) + 1;
+  }
+  /// Re-establish the run-list invariant over runs[from..]; runs must be
+  /// non-empty, sorted by start, and runs[0..from] already separated.
+  void coalesce(std::vector<Run>& runs, std::size_t from) const;
+
   InferenceParams params_;
   std::uint64_t records_added_ = 0;
   // Keyed by victim address value; run vectors stay sorted by start with
   // gaps > max_gap_windows+1 between neighbours.
-  std::unordered_map<std::uint32_t, std::vector<Run>> victims_;
+  util::FlatMap<std::uint32_t, std::vector<Run>> victims_;
 };
+
+/// Stitch records (any order) into events per victim: a parallel fold on
+/// exec::global_pool() — one EventStitcher per record range (plan_shards
+/// over the record count, so the fragments are a pure function of n),
+/// absorbed in range order, then finish(). Traced as `feed.stitch`.
+std::vector<RSDoSEvent> stitch_events(std::span<const RSDoSRecord> records,
+                                      const InferenceParams& params);
 
 /// One day-epoch's worth of stitched events, identified by index into the
 /// canonical (victim, start_window)-ordered event vector rather than by

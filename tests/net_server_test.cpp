@@ -258,6 +258,33 @@ TEST_F(NetServerTest, OpenLoopBelowSaturationPacesTheSchedule) {
   EXPECT_LT(point.p99_us, 20'000.0);
 }
 
+// An answer is timestamped when it lands, not at the next send slot: one
+// connection at 500 req/s against an idle in-process server gets its
+// answers back well within the 2 ms send interval (tens of microseconds
+// in a Release build, a few hundred under the thread sanitizer), so the
+// open-loop p50 must sit below half the interval. A driver that sleeps
+// until the next slot before reading reports about one interval instead.
+TEST_F(NetServerTest, OpenLoopTimestampsAnswersOnArrival) {
+  Server server(handle(), ServerOptions{});
+  server.start();
+
+  RemoteDriveOptions open;
+  open.host = "127.0.0.1";
+  open.port = server.port();
+  open.connections = 1;
+  open.workload.seed = 9;
+  open.workload.mix = {1, 0, 0};
+  open.ops_per_thread = 200;
+  open.target_qps = 500.0;
+  const serve::DriveReport report = drive_remote(open);
+  server.stop();
+
+  ASSERT_EQ(report.total_ops, 200u);
+  const auto& point =
+      report.by_type[static_cast<std::size_t>(serve::QueryType::PointLookup)];
+  EXPECT_LT(point.p50_us, 1000.0) << "answers wait for the next send slot";
+}
+
 // Live re-fill: install_engine is one guarded shared_ptr swap, pinned
 // per event batch by the loops. Clients hammer the server across the swap
 // (this is the TSan target for the RCU handoff), must never see an

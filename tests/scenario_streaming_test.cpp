@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/analysis.h"
+#include "exec/pool.h"
 #include "scenario/driver.h"
 #include "store/format.h"
 #include "store/merge.h"
@@ -243,6 +244,23 @@ TEST_F(StreamingTest, RetainFeedKeepsRecordVector) {
   EXPECT_EQ(streamed.feed.records(), in_memory_->feed.records());
   expect_equivalent(streamed, *in_memory_, /*feed_retired=*/false);
   std::filesystem::remove(opts.store_path);
+}
+
+// A store does not keep the stitched events; load_run re-stitches them
+// from the stored feed on the worker pool. At pool widths 1 and 4 the
+// result must be the events the in-memory run stitched during ingest.
+TEST_F(StreamingTest, LoadedStoreEventsEqualInMemoryEvents) {
+  const unsigned saved_threads = exec::global_pool().thread_count();
+  for (const unsigned width : {1u, 4u}) {
+    exec::set_global_threads(width);
+    RunOptions opts;
+    opts.store_path = temp_path("streaming_load_events.drs");
+    run_longitudinal(*config_, opts);
+    const StoredRun loaded = load_run(opts.store_path);
+    EXPECT_EQ(loaded.events, in_memory_->events) << "pool width " << width;
+    std::filesystem::remove(opts.store_path);
+  }
+  exec::set_global_threads(saved_threads);
 }
 
 TEST_F(StreamingTest, UnwritableStorePathThrows) {

@@ -4,11 +4,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "store/checksum.h"
+#include "store/dataset.h"
+#include "store/epoch.h"
 #include "store/format.h"
 #include "store/reader.h"
 #include "store/writer.h"
@@ -230,6 +233,76 @@ TEST(Writer, RejectsColumnsAfterFinish) {
   EXPECT_THROW(
       writer.add_u64("ds", "key", std::vector<std::uint64_t>{1}),
       StoreError);
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// Feed columns encoded in fragments (one fresh appender per record range,
+// as the ingest workers build them) and spliced in range order must be
+// the bytes of appending every record to one appender: Varint and Fixed
+// payloads concatenate, and the DeltaVarint window column re-encodes only
+// each fragment's first value against the carried previous window. The
+// large fragment spans several payload pieces.
+TEST(FeedColumnsSplice, SplicedFragmentsEqualPerRecordAppend) {
+  constexpr std::size_t kLarge = 3 * Payload::kPieceBytes / 8 + 17;
+  std::vector<telescope::RSDoSRecord> records;
+  for (std::uint32_t i = 0; i < 40 + kLarge; ++i) {
+    telescope::RSDoSRecord rec;
+    // Windows rise and fall, so deltas are positive, zero and negative,
+    // including across fragment boundaries.
+    rec.window = 1000 + static_cast<netsim::WindowIndex>((i * 37) % 23) -
+                 static_cast<netsim::WindowIndex>(i % 3 == 0 ? 900 : 0);
+    rec.victim = netsim::IPv4Addr(0x0A000000u + i * 7919u);
+    rec.distinct_slash16 = 25 + i % 1000;
+    rec.protocol = i % 2 ? attack::Protocol::UDP : attack::Protocol::TCP;
+    rec.first_port = static_cast<std::uint16_t>(i * 11);
+    rec.unique_ports = static_cast<std::uint16_t>(1 + i % 5);
+    rec.max_ppm = 5.0 + i * 0.25;
+    rec.packets = 25 + i * 1000;
+    records.push_back(rec);
+  }
+
+  const std::string per_record_path = temp_path("splice-per-record.drs");
+  {
+    FeedColumnsAppender whole;
+    for (const auto& rec : records) whole.append(rec);
+    Writer writer(per_record_path);
+    whole.flush_to(writer);
+    ASSERT_TRUE(writer.finish());
+  }
+
+  // Empty, 1-row and n-row fragments, empty ones first, last and between.
+  const std::vector<std::size_t> sizes = {0, 1, 0,      5,  1,
+                                         1, 0, kLarge, 12, 20, 0};
+  std::size_t total = 0;
+  for (const std::size_t n : sizes) total += n;
+  ASSERT_EQ(total, records.size());
+  const std::string spliced_path = temp_path("splice-fragments.drs");
+  {
+    FeedColumnsAppender spliced;
+    std::size_t next = 0;
+    for (const std::size_t n : sizes) {
+      FeedColumnsAppender fragment;
+      for (std::size_t i = 0; i < n; ++i) fragment.append(records[next++]);
+      spliced.splice(fragment);
+    }
+    EXPECT_EQ(spliced.rows(), records.size());
+    Writer writer(spliced_path);
+    spliced.flush_to(writer);
+    ASSERT_TRUE(writer.finish());
+  }
+
+  // Compared with ==, not EXPECT_EQ: gtest's diff of two multi-megabyte
+  // strings would need memory quadratic in their size.
+  const std::string spliced_bytes = file_bytes(spliced_path);
+  const std::string per_record_bytes = file_bytes(per_record_path);
+  EXPECT_EQ(spliced_bytes.size(), per_record_bytes.size());
+  EXPECT_TRUE(spliced_bytes == per_record_bytes)
+      << "spliced feed columns differ from per-record appends";
+  EXPECT_TRUE(read_feed_records(Reader(spliced_path)) == records);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <sstream>
 
+#include "exec/parallel.h"
+#include "exec/pool.h"
+#include "netsim/rng.h"
 #include "telescope/darknet.h"
 #include "telescope/feed.h"
 #include "telescope/rsdos.h"
@@ -12,6 +15,7 @@ namespace {
 using netsim::IPv4Addr;
 using netsim::Prefix;
 using netsim::SimTime;
+using Records = std::vector<RSDoSRecord>;
 
 TEST(Darknet, UcsdLikeGeometry) {
   const Darknet net = Darknet::ucsd_like();
@@ -96,9 +100,10 @@ RSDoSRecord rec_at(IPv4Addr victim, netsim::WindowIndex w, double ppm = 100.0) {
 
 TEST(Segmentation, ConsecutiveWindowsFormOneEvent) {
   const InferenceParams params;
-  const auto events = segment_events(
-      {rec_at(IPv4Addr(1, 1, 1, 1), 10), rec_at(IPv4Addr(1, 1, 1, 1), 11),
-       rec_at(IPv4Addr(1, 1, 1, 1), 12)},
+  const auto events = stitch_events(
+      Records{rec_at(IPv4Addr(1, 1, 1, 1), 10),
+              rec_at(IPv4Addr(1, 1, 1, 1), 11),
+              rec_at(IPv4Addr(1, 1, 1, 1), 12)},
       params);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].start_window, 10);
@@ -111,21 +116,24 @@ TEST(Segmentation, GapToleranceStitches) {
   InferenceParams params;
   params.max_gap_windows = 2;
   // Windows 10 and 13: gap of two empty windows (11, 12) — stitched.
-  const auto events = segment_events(
-      {rec_at(IPv4Addr(1, 1, 1, 1), 10), rec_at(IPv4Addr(1, 1, 1, 1), 13)},
+  const auto events = stitch_events(
+      Records{rec_at(IPv4Addr(1, 1, 1, 1), 10),
+              rec_at(IPv4Addr(1, 1, 1, 1), 13)},
       params);
   ASSERT_EQ(events.size(), 1u);
   // Windows 10 and 14: gap of three — split.
-  const auto split = segment_events(
-      {rec_at(IPv4Addr(1, 1, 1, 1), 10), rec_at(IPv4Addr(1, 1, 1, 1), 14)},
+  const auto split = stitch_events(
+      Records{rec_at(IPv4Addr(1, 1, 1, 1), 10),
+              rec_at(IPv4Addr(1, 1, 1, 1), 14)},
       params);
   EXPECT_EQ(split.size(), 2u);
 }
 
 TEST(Segmentation, SeparatesVictims) {
   const InferenceParams params;
-  const auto events = segment_events(
-      {rec_at(IPv4Addr(1, 1, 1, 1), 10), rec_at(IPv4Addr(2, 2, 2, 2), 10)},
+  const auto events = stitch_events(
+      Records{rec_at(IPv4Addr(1, 1, 1, 1), 10),
+              rec_at(IPv4Addr(2, 2, 2, 2), 10)},
       params);
   EXPECT_EQ(events.size(), 2u);
 }
@@ -136,57 +144,181 @@ TEST(Segmentation, AggregatesMaxima) {
   auto r2 = rec_at(IPv4Addr(1, 1, 1, 1), 11, 500.0);
   r2.distinct_slash16 = 90;
   r2.unique_ports = 7;
-  const auto events = segment_events({r2, r1}, params);  // order-insensitive
+  // Order-insensitive.
+  const auto events = stitch_events(Records{r2, r1}, params);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_DOUBLE_EQ(events[0].max_ppm, 500.0);
   EXPECT_EQ(events[0].max_slash16, 90u);
   EXPECT_EQ(events[0].max_unique_ports, 7u);
 }
 
-// The incremental stitcher must reproduce batch segmentation exactly —
-// including the head-record choice when two attacks hit one victim in the
-// same window (record_less breaks the tie, not insertion order).
-TEST(Segmentation, IncrementalStitcherMatchesBatch) {
-  InferenceParams params;
-  params.max_gap_windows = 2;
+// Properties of EventStitcher::absorb. Fragments are built on the worker
+// pool (one stitcher per record range) and every property is checked at
+// pool widths 1 and 4: the result must not depend on how the records were
+// split, in which order fragments are absorbed, or on the thread count.
+class Stitching : public testing::Test {
+ protected:
+  void SetUp() override { saved_threads_ = exec::global_pool().thread_count(); }
+  void TearDown() override { exec::set_global_threads(saved_threads_); }
 
-  std::vector<RSDoSRecord> records;
-  // Victim A: two runs (gap of 4 splits), inserted out of order so the
-  // stitcher bridges and splits in both directions.
-  for (const netsim::WindowIndex w : {14, 10, 11, 20, 13, 21}) {
-    records.push_back(rec_at(IPv4Addr(1, 1, 1, 1), w, 50.0 + w));
+  static constexpr unsigned kPoolWidths[] = {1, 4};
+
+  /// One stitcher per contiguous range of `fragments` ranges, in range
+  /// order, built in parallel.
+  static std::vector<EventStitcher> fragments_of(
+      const std::vector<RSDoSRecord>& records, std::size_t fragments,
+      const InferenceParams& params) {
+    exec::RegionOptions opts;
+    opts.max_shards = fragments;
+    return exec::parallel_map_reduce(
+        records.size(), opts, std::vector<EventStitcher>{},
+        [&](const exec::ShardRange& range) {
+          EventStitcher part(params);
+          for (std::size_t i = range.begin; i < range.end; ++i) {
+            part.add(records[i]);
+          }
+          return part;
+        },
+        [](std::vector<EventStitcher>& all, EventStitcher&& part) {
+          all.push_back(std::move(part));
+        });
   }
-  // Victim B: duplicate-window records with different ports/protocols —
-  // the event head must be the record_less-minimal one either way.
-  auto tie1 = rec_at(IPv4Addr(2, 2, 2, 2), 30);
-  tie1.protocol = attack::Protocol::UDP;
-  tie1.first_port = 53;
-  auto tie2 = rec_at(IPv4Addr(2, 2, 2, 2), 30);
-  tie2.protocol = attack::Protocol::TCP;
-  tie2.first_port = 443;
-  tie2.unique_ports = 9;
-  records.push_back(tie2);
-  records.push_back(tie1);
-  records.push_back(rec_at(IPv4Addr(2, 2, 2, 2), 31));
 
-  const auto batch = segment_events(records, params);
-
-  EventStitcher forward(params);
-  for (const auto& rec : records) forward.add(rec);
-  EXPECT_EQ(forward.records_added(), records.size());
-  EXPECT_EQ(forward.finish(), batch);
-
-  EventStitcher reverse(params);
-  for (auto it = records.rbegin(); it != records.rend(); ++it) {
-    reverse.add(*it);
+  static std::vector<RSDoSEvent> one_stitcher(
+      const std::vector<RSDoSRecord>& records, const InferenceParams& params) {
+    EventStitcher all(params);
+    for (const auto& rec : records) all.add(rec);
+    return all.finish();
   }
-  EXPECT_EQ(reverse.finish(), batch);
+
+  /// Attack-like input: per victim, bursts of consecutive windows with
+  /// gaps on both sides of the tolerance, some windows repeated with other
+  /// ports/protocols (victim reuse), victims interleaved across bursts.
+  static std::vector<RSDoSRecord> mixed_records() {
+    netsim::Rng rng(77);
+    std::vector<RSDoSRecord> records;
+    for (int burst = 0; burst < 400; ++burst) {
+      const IPv4Addr victim(10, 0, 0, static_cast<std::uint8_t>(
+                                          rng.uniform_int(0, 24)));
+      netsim::WindowIndex w = rng.uniform_int(0, 500);
+      const int len = static_cast<int>(rng.uniform_int(1, 8));
+      for (int k = 0; k < len; ++k) {
+        RSDoSRecord rec = rec_at(victim, w, 10.0 + rng.uniform_int(0, 90));
+        rec.packets = static_cast<std::uint64_t>(rng.uniform_int(25, 900));
+        rec.first_port = static_cast<std::uint16_t>(rng.uniform_int(0, 3));
+        rec.protocol = rng.uniform_int(0, 1) ? attack::Protocol::UDP
+                                             : attack::Protocol::TCP;
+        rec.unique_ports = static_cast<std::uint16_t>(rng.uniform_int(1, 9));
+        records.push_back(rec);
+        w += rng.uniform_int(1, 5);  // gaps of 0..4 empty windows
+      }
+    }
+    return records;
+  }
+
+ private:
+  unsigned saved_threads_ = 1;
+};
+
+TEST_F(Stitching, AbsorbedFragmentsEqualOneStitcher) {
+  const InferenceParams params;
+  const std::vector<RSDoSRecord> records = mixed_records();
+  const std::vector<RSDoSEvent> expected = one_stitcher(records, params);
+  ASSERT_GT(expected.size(), 100u);
+  for (const unsigned width : kPoolWidths) {
+    exec::set_global_threads(width);
+    for (const std::size_t fragments : {1u, 2u, 7u, 64u}) {
+      std::vector<EventStitcher> parts =
+          fragments_of(records, fragments, params);
+      ASSERT_EQ(parts.size(), fragments);
+      EventStitcher all(params);
+      for (auto& part : parts) all.absorb(std::move(part));
+      EXPECT_EQ(all.records_added(), records.size());
+      EXPECT_EQ(all.finish(), expected)
+          << fragments << " fragments, pool width " << width;
+    }
+    EXPECT_EQ(stitch_events(records, params), expected)
+        << "pool width " << width;
+  }
+}
+
+TEST_F(Stitching, AbsorbOrderDoesNotMatter) {
+  const InferenceParams params;
+  const std::vector<RSDoSRecord> records = mixed_records();
+  for (const unsigned width : kPoolWidths) {
+    exec::set_global_threads(width);
+    std::vector<EventStitcher> forward_parts = fragments_of(records, 7, params);
+    std::vector<EventStitcher> reverse_parts = fragments_of(records, 7, params);
+    EventStitcher forward(params);
+    for (auto& part : forward_parts) forward.absorb(std::move(part));
+    EventStitcher reverse(params);
+    for (auto it = reverse_parts.rbegin(); it != reverse_parts.rend(); ++it) {
+      reverse.absorb(std::move(*it));
+    }
+    EXPECT_EQ(reverse.finish(), forward.finish()) << "pool width " << width;
+  }
+}
+
+// Two attacks hit one victim in the same window: whichever fragment each
+// record lands in, the event head is the record_less-minimal record.
+TEST_F(Stitching, SameWindowRecordsInDifferentFragmentsPickRecordLessHead) {
+  const InferenceParams params;
+  auto udp = rec_at(IPv4Addr(2, 2, 2, 2), 30);
+  udp.protocol = attack::Protocol::UDP;
+  udp.first_port = 53;
+  auto tcp = rec_at(IPv4Addr(2, 2, 2, 2), 30);
+  tcp.protocol = attack::Protocol::TCP;
+  tcp.first_port = 443;
+  tcp.unique_ports = 9;
+  const RSDoSRecord& head = record_less(udp, tcp) ? udp : tcp;
+  for (const unsigned width : kPoolWidths) {
+    exec::set_global_threads(width);
+    for (const auto& records : {std::vector<RSDoSRecord>{udp, tcp},
+                                std::vector<RSDoSRecord>{tcp, udp}}) {
+      std::vector<EventStitcher> parts = fragments_of(records, 2, params);
+      EventStitcher all(params);
+      for (auto& part : parts) all.absorb(std::move(part));
+      const auto events = all.finish();
+      ASSERT_EQ(events.size(), 1u);
+      EXPECT_EQ(events[0].protocol, head.protocol);
+      EXPECT_EQ(events[0].first_port, head.first_port);
+      EXPECT_EQ(events[0].max_unique_ports, 9);
+      EXPECT_EQ(events[0].total_packets, 1000u);
+      EXPECT_EQ(stitch_events(records, params), events);
+    }
+  }
+}
+
+// Windows 10 and 16 are two runs under the default tolerance (reach 3);
+// a record at 13 in a third fragment bridges them into one event.
+TEST_F(Stitching, ThirdFragmentBridgesTwoRuns) {
+  const InferenceParams params;
+  const IPv4Addr victim(3, 3, 3, 3);
+  const std::vector<RSDoSRecord> records = {
+      rec_at(victim, 10, 1.0), rec_at(victim, 16, 2.0),
+      rec_at(victim, 13, 3.0)};
+  for (const unsigned width : kPoolWidths) {
+    exec::set_global_threads(width);
+    std::vector<EventStitcher> parts = fragments_of(records, 3, params);
+    EventStitcher all(params);
+    all.absorb(std::move(parts[0]));
+    all.absorb(std::move(parts[1]));
+    EXPECT_EQ(all.finish().size(), 2u);
+    all.absorb(std::move(parts[2]));
+    const auto events = all.finish();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].start_window, 10);
+    EXPECT_EQ(events[0].end_window, 16);
+    EXPECT_DOUBLE_EQ(events[0].max_ppm, 3.0);
+    EXPECT_EQ(events[0].total_packets, 1500u);
+    EXPECT_EQ(stitch_events(records, params), events);
+  }
 }
 
 TEST(Segmentation, EventTimes) {
   const InferenceParams params;
   const auto events =
-      segment_events({rec_at(IPv4Addr(1, 1, 1, 1), 10)}, params);
+      stitch_events(Records{rec_at(IPv4Addr(1, 1, 1, 1), 10)}, params);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].start_time().seconds(), 3000);
   EXPECT_EQ(events[0].end_time().seconds(), 3300);

@@ -760,6 +760,20 @@ int cmd_serve(util::FlagParser& flags) {
     return std::chrono::duration<double>(Clock::now() - t0).count();
   };
 
+  // The Chrome trace, written at the end of every serve mode.
+  const auto write_trace = [&]() -> bool {
+    if (trace_path.empty()) return true;
+    std::ofstream out(trace_path);
+    if (!out) {
+      std::cerr << "cannot write " << trace_path << "\n";
+      return false;
+    }
+    observer->tracer().write_chrome_json(out);
+    std::cout << "wrote " << observer->tracer().event_count()
+              << " trace spans to " << trace_path << "\n";
+    return true;
+  };
+
   // Report print + observability outputs shared by the in-process and
   // remote drive paths (`source` is the store path or the server address).
   const auto drive_epilogue = [&](const serve::DriveReport& report,
@@ -789,16 +803,7 @@ int cmd_serve(util::FlagParser& flags) {
                   static_cast<unsigned long long>(report.fingerprint));
     std::cout << "fingerprint: " << fp << "\n";
 
-    if (!trace_path.empty()) {
-      std::ofstream out(trace_path);
-      if (!out) {
-        std::cerr << "cannot write " << trace_path << "\n";
-        return 1;
-      }
-      observer->tracer().write_chrome_json(out);
-      std::cout << "wrote " << observer->tracer().event_count()
-                << " trace spans to " << trace_path << "\n";
-    }
+    if (!write_trace()) return 1;
     if (sampler && !telemetry_path.empty()) {
       std::cout << "wrote " << sampler->samples_taken()
                 << " telemetry samples (" << sampler->series().series_count()
@@ -1004,6 +1009,7 @@ int cmd_serve(util::FlagParser& flags) {
               << stats.malformed_frames << " malformed, "
               << stats.engine_swaps << " engine swap"
               << (stats.engine_swaps == 1 ? "" : "s") << "\n";
+    if (!write_trace()) return 1;
     if (sampler && !telemetry_path.empty()) {
       std::cout << "wrote " << sampler->samples_taken()
                 << " telemetry samples (" << sampler->series().series_count()
