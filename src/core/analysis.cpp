@@ -73,6 +73,25 @@ std::vector<MonthlyRow> monthly_summary(
   return fold.finish();
 }
 
+std::vector<MonthlyJoinedRow> monthly_joined_summary(
+    const std::vector<NssetAttackEvent>& events) {
+  std::map<YearMonth, MonthlyJoinedRow> by_month;
+  for (const auto& ev : events) {
+    const YearMonth ym = ym_of(ev.rsdos);
+    MonthlyJoinedRow& row = by_month[ym];
+    row.year = ym.year;
+    row.month = ym.month;
+    ++row.events;
+    if (ev.peak_impact >= kImpairedThreshold) ++row.impaired_10x;
+    if (ev.peak_impact >= kSevereThreshold) ++row.severe_100x;
+    if (ev.any_failure()) ++row.events_with_failures;
+  }
+  std::vector<MonthlyJoinedRow> rows;
+  rows.reserve(by_month.size());
+  for (const auto& [ym, row] : by_month) rows.push_back(row);
+  return rows;
+}
+
 MonthlyRow summary_totals(const std::vector<MonthlyRow>& rows) {
   MonthlyRow total;
   for (const auto& r : rows) {

@@ -72,6 +72,20 @@ class MonthlySummaryFold {
 /// Column totals of Table 3.
 MonthlyRow summary_totals(const std::vector<MonthlyRow>& rows);
 
+/// Per-month rollup of joined events (month of the attack's first
+/// window) — the stored-run counterpart of the Table 3 monthly view.
+struct MonthlyJoinedRow {
+  int year = 0;
+  int month = 0;
+  std::uint64_t events = 0;
+  std::uint64_t impaired_10x = 0;
+  std::uint64_t severe_100x = 0;
+  std::uint64_t events_with_failures = 0;
+};
+
+std::vector<MonthlyJoinedRow> monthly_joined_summary(
+    const std::vector<NssetAttackEvent>& events);
+
 // ----------------------------------------------------------------- Fig 5
 
 struct MonthlyAffectedDomains {

@@ -89,9 +89,15 @@ struct Server::Connection {
 };
 
 struct Server::Loop {
+  static constexpr std::size_t kReadChunk = 64 * 1024;
+
   int epoll_fd = -1;
   int wake_fd = -1;
   std::unordered_map<int, std::unique_ptr<Connection>> conns;
+  // Every read lands here first; only the bytes received are appended to
+  // the connection's buffer, so no read zero-fills a fresh chunk.
+  std::unique_ptr<std::uint8_t[]> read_scratch =
+      std::make_unique_for_overwrite<std::uint8_t[]>(kReadChunk);
 };
 
 Server::Server(std::shared_ptr<const EngineHandle> engine,
@@ -315,19 +321,17 @@ void Server::accept_ready(Loop& loop) {
 void Server::conn_readable(Loop& loop, Connection& conn) {
   bool peer_closed = false;
   for (;;) {
-    constexpr std::size_t kChunk = 64 * 1024;
-    const std::size_t old_size = conn.read_buf.size();
-    conn.read_buf.resize(old_size + kChunk);
-    const ssize_t n = ::read(conn.fd, conn.read_buf.data() + old_size, kChunk);
+    const ssize_t n =
+        ::read(conn.fd, loop.read_scratch.get(), Loop::kReadChunk);
     if (n > 0) {
-      conn.read_buf.resize(old_size + static_cast<std::size_t>(n));
+      conn.read_buf.insert(conn.read_buf.end(), loop.read_scratch.get(),
+                           loop.read_scratch.get() + n);
       rx_bytes_.fetch_add(static_cast<std::uint64_t>(n),
                           std::memory_order_relaxed);
       if (m_rx_bytes_ != nullptr) m_rx_bytes_->inc(static_cast<std::uint64_t>(n));
-      if (static_cast<std::size_t>(n) < kChunk) break;  // drained the socket
+      if (static_cast<std::size_t>(n) < Loop::kReadChunk) break;  // drained
       continue;
     }
-    conn.read_buf.resize(old_size);
     if (n == 0) {
       peer_closed = true;
     } else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {

@@ -23,7 +23,6 @@
 #include "store/dataset.h"
 #include "store/epoch.h"
 #include "store/reader.h"
-#include "store/scan.h"
 #include "store/writer.h"
 #include "util/flat_map.h"
 #include "util/strings.h"
@@ -896,19 +895,14 @@ RejoinResult rejoin_from_store(const StoredRun& run) {
   return result;
 }
 
-bool rejoin_matches_store(const std::string& path, bool use_mmap,
-                          const StoredRun& run, const RejoinResult& rejoin) {
-  const store::Reader reader(
-      path, use_mmap ? store::ReadMode::Mapped : store::ReadMode::Buffered);
-  store::ColumnArena arena;
-  const core::EventFrame frame = store::read_event_frame(reader, arena);
-  return core::frame_equals_events(frame, rejoin.joined) &&
-         rejoin.stats == run.join_stats;
+bool rejoin_matches_store(const StoredRun& run, const RejoinResult& rejoin) {
+  return rejoin.joined == run.joined && rejoin.stats == run.join_stats;
 }
 
 StoreAnalysis analyze_store(const std::string& path, bool use_mmap) {
   obs::Observer* observer = obs::Observer::installed();
-  obs::ScopedSpan span(observer ? &observer->tracer() : nullptr, "store.scan");
+  obs::ScopedSpan span(observer ? &observer->tracer() : nullptr,
+                       "store.analyze");
 
   const store::Reader reader(
       path, use_mmap ? store::ReadMode::Mapped : store::ReadMode::Buffered);
@@ -937,25 +931,24 @@ StoreAnalysis analyze_store(const std::string& path, bool use_mmap) {
   check_count(reader, "feed record (footer)", a.feed_records,
               reader.dataset_rows("feed"));
 
-  // The timed region is the data-plane read: every block of every
-  // dataset decoded (or mapped through) exactly once, lazy CRC included.
-  const auto scan_start = std::chrono::steady_clock::now();
-  store::ColumnArena arena;
-  store::scan_all(reader, arena);
-  const core::EventFrame frame = store::read_event_frame(reader, arena);
-  const auto scan_end = std::chrono::steady_clock::now();
-  const double scan_ns = static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(scan_end -
-                                                           scan_start)
-          .count());
-  if (scan_ns > 0.0)
-    a.read_MBps = static_cast<double>(a.file_bytes) * 1e3 / scan_ns;
+  // The timed region is the analyze read: every block's CRC verified
+  // (whole-file integrity), then only the joined events decoded.
+  const auto read_start = std::chrono::steady_clock::now();
+  reader.validate_all();
+  const std::vector<core::NssetAttackEvent> joined =
+      store::read_joined_events(reader);
+  const auto read_ns = std::max<std::int64_t>(
+      1, std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now() - read_start)
+             .count());
+  a.read_MBps = static_cast<double>(a.file_bytes) * 1e3 /
+                static_cast<double>(read_ns);
 
-  a.impact = core::impact_summary_columnar(frame);
-  a.failures = core::failure_summary_columnar(frame);
-  a.duration_series = core::duration_impact_series_columnar(frame);
-  a.by_anycast = core::impact_by_anycast_columnar(frame);
-  a.monthly = core::monthly_joined_summary_columnar(frame);
+  a.impact = core::impact_summary(joined);
+  a.failures = core::failure_summary(joined);
+  a.duration_series = core::duration_impact_series(joined);
+  a.by_anycast = core::impact_by_anycast(joined);
+  a.monthly = core::monthly_joined_summary(joined);
 
   span.set_items(reader.columns().size());
   if (observer) {

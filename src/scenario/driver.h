@@ -30,7 +30,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/columnar.h"
+#include "core/analysis.h"
 #include "core/join.h"
 #include "core/resilience.h"
 #include "openintel/storage.h"
@@ -190,21 +190,21 @@ struct RejoinResult {
 };
 RejoinResult rejoin_from_store(const StoredRun& run);
 
-/// Field-exact comparison of a rejoin result against the stored events
-/// *columns* (core::frame_equals_events over a fresh scan) plus the
-/// stored join stats — the columnar form of the --rejoin bit-for-bit
-/// assertion; the stored rows are never materialized for the check.
-bool rejoin_matches_store(const std::string& path, bool use_mmap,
-                          const StoredRun& run, const RejoinResult& rejoin);
+/// Field-exact comparison of a rejoin result against the stored joined
+/// events and join stats that `run` was loaded with — the --rejoin
+/// bit-for-bit assertion. load_run has already CRC-checked and decoded
+/// those rows, so the check re-reads nothing.
+bool rejoin_matches_store(const StoredRun& run, const RejoinResult& rejoin);
 
-// ---- columnar analyze pass (store/scan.h + core/columnar.h).
+// ---- analyze pass over a stored run.
 //
-// `analyze_store` recomputes the headline §6 statistics straight off the
-// DRS column spans: the file is mapped (or buffered with
-// use_mmap=false), every block decodes exactly once into reusable arena
-// buffers or zero-copy spans, and the kernels fan out over row shards
-// with ordered reduction — no NssetAttackEvent row is ever built. The
-// kernel results are bit-identical to load_run + the row analyses.
+// `analyze_store` recomputes the headline §6 statistics of a DRS store:
+// the file is mapped (or buffered with use_mmap=false), every block's
+// CRC32C is verified in parallel (Reader::validate_all), so a corrupt
+// byte anywhere in the file fails the analyze, and then only the joined
+// "events" dataset is decoded and folded with the core/analysis row
+// kernels `run` prints with. Feed and measurement columns are checked,
+// never decoded. Throws store::StoreError on any defect.
 
 struct StoreAnalysis {
   // Provenance echoed for the analyze header.
@@ -222,11 +222,13 @@ struct StoreAnalysis {
   std::uint64_t events = 0;
   std::uint64_t joined = 0;
   std::uint64_t swept_measurements = 0;
-  // Scan statistics.
+  // Read statistics.
   std::uint64_t file_bytes = 0;
   bool mapped = false;
-  double read_MBps = 0.0;  // full-file columnar scan throughput
-  // Headline kernels (columnar; bit-identical to the row path).
+  // File bytes over the wall time of the analyze read (verify every
+  // block + decode the events); never 0 on success.
+  double read_MBps = 0.0;
+  // Headline statistics (core/analysis row kernels over the events).
   core::ImpactSummary impact;
   core::FailureSummary failures;
   core::CorrelationSeries duration_series;

@@ -201,9 +201,8 @@ std::span<const std::uint8_t> scan_u8(const Reader& reader,
   return {reinterpret_cast<const std::uint8_t*>(payload.data()), desc.rows};
 }
 
-core::StringColumnView scan_strings(const Reader& reader,
-                                    const ColumnDesc& desc,
-                                    ColumnArena& arena) {
+StringColumnView scan_strings(const Reader& reader, const ColumnDesc& desc,
+                              ColumnArena& arena) {
   if (desc.type != ColumnType::Str)
     throw StoreError("scan_strings: column '" + desc.dataset + "." +
                      desc.column + "' is not str");
@@ -213,51 +212,11 @@ core::StringColumnView scan_strings(const Reader& reader,
   std::vector<std::uint64_t>& lens =
       arena.u64_slot(desc.dataset, desc.column, "lens");
   decode_string_offsets(payload, desc.rows, starts, lens);
-  core::StringColumnView view;
+  StringColumnView view;
   view.bytes = payload;
   view.starts = {starts.data(), starts.size()};
   view.lens = {lens.data(), lens.size()};
   return view;
-}
-
-core::EventFrame read_event_frame(const Reader& reader, ColumnArena& arena) {
-  core::EventFrame f;
-  f.rows = reader.dataset_rows("events");
-  const auto u64c = [&](std::string_view col) {
-    return scan_u64(reader, reader.column("events", col), arena);
-  };
-  const auto f64c = [&](std::string_view col) {
-    return scan_f64(reader, reader.column("events", col), arena);
-  };
-  const auto u8c = [&](std::string_view col) {
-    return scan_u8(reader, reader.column("events", col));
-  };
-  f.victim = u64c("victim");
-  f.start_window = u64c("start_window");
-  f.end_window = u64c("end_window");
-  f.max_ppm = f64c("max_ppm");
-  f.total_packets = u64c("total_packets");
-  f.max_slash16 = u64c("max_slash16");
-  f.protocol = u8c("protocol");
-  f.first_port = u64c("first_port");
-  f.max_unique_ports = u64c("max_unique_ports");
-  f.nsset = u64c("nsset");
-  f.domains_hosted = u64c("domains_hosted");
-  f.domains_measured = u64c("domains_measured");
-  f.baseline_rtt_ms = f64c("baseline_rtt_ms");
-  f.peak_impact = f64c("peak_impact");
-  f.mean_impact = f64c("mean_impact");
-  f.ok = u64c("ok");
-  f.timeouts = u64c("timeouts");
-  f.servfails = u64c("servfails");
-  f.failure_rate = f64c("failure_rate");
-  f.anycast_class = u8c("anycast_class");
-  f.distinct_asns = u64c("distinct_asns");
-  f.distinct_slash24 = u64c("distinct_slash24");
-  f.nameserver_count = u64c("nameserver_count");
-  f.asn = u64c("asn");
-  f.org = scan_strings(reader, reader.column("events", "org"), arena);
-  return f;
 }
 
 std::uint64_t scan_all(const Reader& reader, ColumnArena& arena) {

@@ -1,5 +1,9 @@
-// Columnar scan layer over a store::Reader — the zero-copy fast path the
-// analysis kernels (core/columnar.h) run on.
+// Columnar scan layer over a store::Reader: full-file decodes without
+// row materialization. No production path uses it; it is the explicit
+// full-file decode step of bench_perf_pipeline (the gated
+// store_read_MBps) and of bench_micro_decode. `analyze --store` instead
+// verifies every block (Reader::validate_all) and decodes only the joined
+// events (store/dataset.h read_joined_events).
 //
 //   * Fixed-width columns (f64, u8, and Fixed-encoded u64) are returned
 //     as spans directly over the reader's backing — in Mapped mode that
@@ -15,7 +19,7 @@
 //
 // Every scan CRC-checks its block via Reader::verified_payload, which
 // verifies lazily and exactly once per block. Spans borrow from the
-// Reader and the arena: keep both alive while a frame is in use.
+// Reader and the arena: keep both alive while they are in use.
 #pragma once
 
 #include <cstdint>
@@ -26,10 +30,22 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/columnar.h"
 #include "store/reader.h"
 
 namespace ddos::store {
+
+/// SoA view of one string column: per-row [start, start+len) slices of a
+/// shared byte buffer (the block payload itself on the zero-copy path).
+struct StringColumnView {
+  std::string_view bytes;
+  std::span<const std::uint64_t> starts;
+  std::span<const std::uint64_t> lens;
+
+  std::size_t size() const { return starts.size(); }
+  std::string_view operator[](std::size_t i) const {
+    return bytes.substr(starts[i], lens[i]);
+  }
+};
 
 /// Named decode buffers keyed by dataset.column, reused across scans so a
 /// re-analysis of the same store (threshold sweeps, rejoin checks) does
@@ -80,13 +96,8 @@ std::span<const double> scan_f64(const Reader& reader, const ColumnDesc& desc,
                                  ColumnArena& arena);
 std::span<const std::uint8_t> scan_u8(const Reader& reader,
                                       const ColumnDesc& desc);
-core::StringColumnView scan_strings(const Reader& reader,
-                                    const ColumnDesc& desc,
-                                    ColumnArena& arena);
-
-/// Columnar view of the joined "events" dataset; spans borrow from
-/// `reader` and `arena`.
-core::EventFrame read_event_frame(const Reader& reader, ColumnArena& arena);
+StringColumnView scan_strings(const Reader& reader, const ColumnDesc& desc,
+                              ColumnArena& arena);
 
 /// Decode every column of every dataset once (block decodes fan out
 /// across the exec pool). Returns the payload bytes touched — the

@@ -220,6 +220,32 @@ TEST(ImpactSummary, ThresholdCounts) {
   EXPECT_DOUBLE_EQ(s.severe_share_of_impaired(), 0.5);
 }
 
+TEST(MonthlyJoinedSummary, BucketsByStartMonth) {
+  std::vector<NssetAttackEvent> events = {
+      make_event(150.0, 0, 0, 10),  // Nov 2020, severe
+      make_event(15.0, 2, 0, 8),    // Nov 2020, impaired, failing
+      make_event(1.5, 0, 0, 10),    // Dec 2020
+  };
+  const netsim::DayIndex days[] = {5, 6, 40};
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    events[i].rsdos.start_window = days[i] * netsim::kWindowsPerDay;
+    events[i].rsdos.end_window = events[i].rsdos.start_window + 2;
+  }
+  const auto rows = monthly_joined_summary(events);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].year, 2020);
+  EXPECT_EQ(rows[0].month, 11);
+  EXPECT_EQ(rows[0].events, 2u);
+  EXPECT_EQ(rows[0].impaired_10x, 2u);
+  EXPECT_EQ(rows[0].severe_100x, 1u);
+  EXPECT_EQ(rows[0].events_with_failures, 1u);
+  EXPECT_EQ(rows[1].year, 2020);
+  EXPECT_EQ(rows[1].month, 12);
+  EXPECT_EQ(rows[1].events, 1u);
+  EXPECT_EQ(rows[1].impaired_10x, 0u);
+  EXPECT_TRUE(monthly_joined_summary({}).empty());
+}
+
 TEST(CorrelationSeries, PerfectCorrelationDetected) {
   std::vector<NssetAttackEvent> events;
   for (int i = 1; i <= 20; ++i) {

@@ -4,7 +4,8 @@
 // whole-run store the driver writes as it goes, the merge of its shard
 // stores, and save_run of an in-memory run must all hash to the committed
 // values, so any change to the pipeline's output or the store layout
-// fails here. The remaining cases check that a run persisting a store
+// fails here. A digest of everything analyze_store reports over that
+// store pins the analysis the same way. The remaining cases check that a run persisting a store
 // (which retires days and feed records as it goes) reports the same
 // events, joins and analyses as an in-memory run. ctest variants re-run
 // this binary under DDOSREPRO_THREADS=1/2/4/8 to cover every sweep-pool
@@ -121,6 +122,111 @@ TEST(GoldenDigest, MergedShardStores) {
       std::filesystem::remove(merged);
     }
   }
+}
+
+// FNV-1a 64 of every headline result analyze_store reports for the
+// test_config() store: the impact and failure summaries, the duration
+// series, the anycast groups, the monthly rollup and the stored result
+// counts (not the provenance, which differs between the kGolden stores).
+// Regenerate only together with a deliberate change to the pipeline's
+// output or to what analyze reports.
+constexpr std::uint64_t kGoldenAnalysis = 0x8a59934446b35cb1ull;
+
+class Fnv1a {
+ public:
+  void bytes(const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_ ^= p[i];
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+  void f64(double v) { bytes(&v, sizeof v); }
+  void str(const std::string& s) {
+    u64(s.size());
+    bytes(s.data(), s.size());
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+std::uint64_t analysis_digest(const StoreAnalysis& a) {
+  Fnv1a h;
+  for (const std::uint64_t count : {a.attacks, a.feed_records, a.events,
+                                    a.joined, a.swept_measurements})
+    h.u64(count);
+  h.u64(a.impact.events);
+  h.u64(a.impact.impaired_10x);
+  h.u64(a.impact.severe_100x);
+  h.u64(a.failures.events);
+  h.u64(a.failures.events_with_failures);
+  h.u64(a.failures.timeouts);
+  h.u64(a.failures.servfails);
+  const auto ports =
+      a.failures.failed_event_ports.top(a.failures.failed_event_ports.distinct());
+  h.u64(ports.size());
+  for (const auto& [bucket, count] : ports) {
+    h.str(bucket);
+    h.u64(count);
+  }
+  h.u64(a.duration_series.n());
+  for (std::size_t i = 0; i < a.duration_series.n(); ++i) {
+    h.f64(a.duration_series.x[i]);
+    h.f64(a.duration_series.y[i]);
+  }
+  h.f64(a.duration_series.pearson);
+  h.f64(a.duration_series.spearman);
+  h.u64(a.by_anycast.size());
+  for (const core::GroupImpact& g : a.by_anycast) {
+    h.str(g.group);
+    h.u64(g.events);
+    h.f64(g.median_impact);
+    h.f64(g.p90_impact);
+    h.f64(g.max_impact);
+    h.u64(g.impaired_10x);
+    h.u64(g.severe_100x);
+    h.u64(g.events_with_failures);
+    h.u64(g.complete_failures);
+  }
+  h.u64(a.monthly.size());
+  for (const core::MonthlyJoinedRow& m : a.monthly) {
+    h.u64(static_cast<std::uint64_t>(m.year));
+    h.u64(static_cast<std::uint64_t>(m.month));
+    h.u64(m.events);
+    h.u64(m.impaired_10x);
+    h.u64(m.severe_100x);
+    h.u64(m.events_with_failures);
+  }
+  return h.value();
+}
+
+// analyze_store over the golden stores, mapped and buffered, at pool
+// widths 1 and 4: every result must fold to the committed digest.
+TEST(GoldenDigest, StoreAnalysis) {
+  const unsigned saved_threads = exec::global_pool().thread_count();
+  const LongitudinalResult r = run_longitudinal(test_config());
+  for (const Golden& golden : kGolden) {
+    const std::string path = temp_path("golden-analyze.drs");
+    save_run(path, test_config(), golden.threads, r);
+    for (const unsigned width : {1u, 4u}) {
+      exec::set_global_threads(width);
+      for (const bool use_mmap : {true, false}) {
+        const StoreAnalysis a = analyze_store(path, use_mmap);
+        EXPECT_EQ(a.threads, golden.threads);
+        EXPECT_EQ(a.mapped, use_mmap);
+        EXPECT_EQ(a.joined, r.joined.size());
+        EXPECT_EQ(analysis_digest(a), kGoldenAnalysis)
+            << "analyze_store at pool width " << width
+            << (use_mmap ? " (mapped)" : " (buffered)")
+            << " of the threads-" << golden.threads << " store";
+      }
+    }
+    std::filesystem::remove(path);
+  }
+  exec::set_global_threads(saved_threads);
 }
 
 TEST(GoldenDigest, SaveRunOfInMemoryRun) {
@@ -261,6 +367,31 @@ TEST_F(StreamingTest, LoadedStoreEventsEqualInMemoryEvents) {
     std::filesystem::remove(opts.store_path);
   }
   exec::set_global_threads(saved_threads);
+}
+
+// analyze_store decodes the stored joined events and folds them with the
+// row kernels: its report must equal those kernels over the in-memory
+// run's events.
+TEST_F(StreamingTest, AnalyzeStoreMatchesRowAnalyses) {
+  const std::string path = temp_path("streaming_analyze.drs");
+  save_run(path, *config_, 1, *in_memory_);
+  const std::vector<core::NssetAttackEvent>& joined = in_memory_->joined;
+  StoreAnalysis expected;
+  expected.attacks = in_memory_->workload.schedule.size();
+  expected.feed_records = in_memory_->feed_records;
+  expected.events = in_memory_->events.size();
+  expected.joined = joined.size();
+  expected.swept_measurements = in_memory_->swept_measurements;
+  expected.impact = core::impact_summary(joined);
+  expected.failures = core::failure_summary(joined);
+  expected.duration_series = core::duration_impact_series(joined);
+  expected.by_anycast = core::impact_by_anycast(joined);
+  expected.monthly = core::monthly_joined_summary(joined);
+  const StoreAnalysis analysis = analyze_store(path);
+  EXPECT_TRUE(analysis.mapped);
+  EXPECT_EQ(analysis.file_bytes, std::filesystem::file_size(path));
+  EXPECT_EQ(analysis_digest(analysis), analysis_digest(expected));
+  std::filesystem::remove(path);
 }
 
 TEST_F(StreamingTest, UnwritableStorePathThrows) {

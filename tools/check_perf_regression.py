@@ -6,7 +6,7 @@ Usage:
 
 The baseline file (bench/baseline_perf.json) declares a set of guarded
 higher-is-better metrics (the sweep-ingest throughput
-``ingest_measurements_per_sec`` and the zero-copy columnar scan
+``ingest_measurements_per_sec`` and the bench's full-file decode
 throughput ``store_read_MBps``) plus a relative tolerance. A fresh bench
 run must stay within ``tolerance`` of each guarded baseline value; metrics
 listed under ``informational`` are printed for the log but never fail the
@@ -26,9 +26,9 @@ checked without tolerance — the baseline value IS the minimum. The serve
 layer's ``serve_lookups_per_sec`` lives here (the query engine must
 sustain at least 1M point lookups/sec across the drive's thread
 complement — an absolute acceptance criterion, not a trajectory, hence
-no tolerance band), as does ``analyze_vs_run_speedup`` (one columnar
-analyze pass over a saved store must beat re-simulating the run by at
-least 5x — the acceptance gate for the zero-copy mmap read path).
+no tolerance band), as does ``analyze_vs_run_speedup`` (one analyze
+pass over a saved store — verify every block, decode the joined events —
+must beat re-simulating the run by at least 5x).
 
 A guarded key that is MISSING from the candidate JSON is a hard failure,
 not a silent skip: a renamed or dropped metric would otherwise disable

@@ -161,10 +161,10 @@ int cmd_world(util::FlagParser& flags) {
   return 0;
 }
 
-// Shared value printer: `run` feeds it from the row kernels, `analyze
-// --store` from the columnar kernels. One formatting path is what makes
-// the two outputs byte-identical whenever the values agree (CI diffs
-// them).
+// Shared value printer: `run` feeds it from its in-memory joined events,
+// `analyze --store` from the events decoded out of the store, both through
+// the same core/analysis kernels. One formatting path is what makes the
+// two outputs byte-identical whenever the values agree (CI diffs them).
 void print_analysis_values(const core::ImpactSummary& impacts,
                            const core::FailureSummary& failures,
                            const core::CorrelationSeries& duration,
@@ -513,10 +513,10 @@ int cmd_merge(util::FlagParser& flags) {
 
 int cmd_analyze_store(util::FlagParser& flags, const std::string& path) {
   exec::set_global_threads(static_cast<unsigned>(flags.get_uint("threads")));
-  // Column-native analysis: the store is mapped read-only (--no-mmap
-  // falls back to the buffered reader) and every headline statistic is
-  // recomputed from column spans — no row materialization. Output is
-  // byte-identical to the row path (`run`); CI diffs the two.
+  // The store is mapped read-only (--no-mmap falls back to the buffered
+  // reader), every block is CRC-checked, and the headline statistics are
+  // recomputed from the decoded joined events with the kernels `run`
+  // prints with. Output is byte-identical to `run`; CI diffs the two.
   const bool use_mmap = !flags.get_bool("no-mmap");
   scenario::StoreAnalysis analysis;
   try {
@@ -545,8 +545,7 @@ int cmd_analyze_store(util::FlagParser& flags, const std::string& path) {
     try {
       const scenario::StoredRun run = scenario::load_run(path, use_mmap);
       const auto rejoin = scenario::rejoin_from_store(run);
-      const bool match =
-          scenario::rejoin_matches_store(path, use_mmap, run, rejoin);
+      const bool match = scenario::rejoin_matches_store(run, rejoin);
       std::cout << "rejoin: " << rejoin.joined.size()
                 << " joined events recomputed from stored aggregates — "
                 << (match ? "bit-for-bit match with stored events"
