@@ -57,12 +57,9 @@ std::size_t op_slot(Opcode op) {
 
 std::shared_ptr<const EngineHandle> EngineHandle::load(
     const std::string& store_path, std::uint64_t epoch) {
-  // Member order matters: the engine holds a pointer into *run_, and the
-  // unique_ptrs keep both addresses stable for the handle's lifetime.
   auto handle = std::shared_ptr<EngineHandle>(new EngineHandle());
-  handle->run_ =
-      std::make_unique<scenario::StoredRun>(scenario::load_run(store_path));
-  handle->owned_engine_ = std::make_unique<serve::QueryEngine>(*handle->run_);
+  handle->owned_engine_ = std::make_unique<serve::QueryEngine>(
+      scenario::load_serving_inputs(store_path));
   handle->engine_ = handle->owned_engine_.get();
   handle->epoch_ = epoch;
   return handle;

@@ -30,9 +30,9 @@
 // the lock is taken per epoll wakeup, not per request, and requests
 // already being served finish against the engine they started with
 // while new batches see the replacement — queries keep flowing through
-// the cutover, and the old engine (plus the StoredRun backing it) is
-// destroyed when the last in-flight batch drops its reference. Clients
-// observe the swap as a bumped engine_epoch in Hello answers.
+// the cutover, and the old engine is destroyed when the last in-flight
+// batch drops its reference. Clients observe the swap as a bumped
+// engine_epoch in Hello answers.
 //
 // Observability: with an installed obs::Observer the server publishes
 // net.connections_accepted / net.connections_open / net.rx_bytes /
@@ -61,11 +61,12 @@
 
 namespace ddos::net {
 
-/// A query engine plus whatever owns its run artifacts, shared between
-/// the server's event loops behind one atomic pointer. `load` owns the
-/// whole chain (DRS store -> StoredRun -> engine); `view` wraps an
-/// externally-owned engine (tests, bench, the in-process CLI path) whose
-/// run the caller must keep alive for the handle's lifetime.
+/// A query engine shared between the server's event loops behind one
+/// guarded pointer. `load` owns the whole chain (DRS store ->
+/// scenario::load_serving_inputs -> engine; the engine keeps only the
+/// joined events and its indexes, no StoredRun); `view` wraps an
+/// externally-owned engine (tests, bench, the in-process CLI path) that
+/// the caller must keep alive for the handle's lifetime.
 class EngineHandle {
  public:
   static std::shared_ptr<const EngineHandle> load(
@@ -79,7 +80,6 @@ class EngineHandle {
  private:
   EngineHandle() = default;
 
-  std::unique_ptr<scenario::StoredRun> run_;          // load() only
   std::unique_ptr<serve::QueryEngine> owned_engine_;  // load() only
   const serve::QueryEngine* engine_ = nullptr;
   std::uint64_t epoch_ = 0;

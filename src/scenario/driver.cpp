@@ -876,6 +876,61 @@ StoredRun load_run(const std::string& path, bool use_mmap) {
   return run;
 }
 
+ServingInputs load_serving_inputs(const std::string& path) {
+  obs::Observer* observer = obs::Observer::installed();
+  obs::ScopedSpan span(observer ? &observer->tracer() : nullptr,
+                       "store.serve_load");
+  const auto load_start = std::chrono::steady_clock::now();
+
+  const store::Reader reader(path, store::ReadMode::Mapped);
+  telescope::InferenceParams inference;
+  inference.max_gap_windows =
+      static_cast<std::uint32_t>(meta_u64(reader, "inference.max_gap_windows"));
+  const std::uint64_t feed_rows = reader.dataset_rows("feed");
+  check_count(reader, "feed record", meta_u64(reader, "result.feed_records"),
+              feed_rows);
+
+  // Whole-file integrity first, as in load_run and analyze_store: a flip
+  // in a block this loader never decodes must still fail the load.
+  reader.validate_all();
+
+  ServingInputs in;
+  std::vector<std::uint64_t> victims, windows;
+  store::Reader::parallel_decode({
+      [&] { victims = reader.read_u64("feed", "victim"); },
+      [&] { windows = reader.read_u64("feed", "window"); },
+      [&] { in.joined = store::read_joined_events(reader); },
+      [&] { in.daily = store::read_aggregates(reader, "daily"); },
+  });
+  check_count(reader, "joined event", meta_u64(reader, "result.joined"),
+              in.joined.size());
+
+  try {
+    in.victim_events =
+        telescope::count_victim_events(victims, windows, inference);
+  } catch (const std::invalid_argument& e) {
+    throw store::StoreError(path + ": " + e.what());
+  }
+  std::uint64_t events = 0;
+  for (const auto& [victim, count] : in.victim_events) events += count;
+  check_count(reader, "stitched event", meta_u64(reader, "result.events"),
+              events);
+
+  span.set_items(feed_rows);
+  if (observer) {
+    const auto load_ns = std::max<std::int64_t>(
+        1, std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now() - load_start)
+               .count());
+    observer->pipeline.store_bytes_read.set(
+        static_cast<double>(reader.file_size()));
+    observer->pipeline.store_read_MBps.set(
+        static_cast<double>(reader.file_size()) * 1e3 /
+        static_cast<double>(load_ns));
+  }
+  return in;
+}
+
 RejoinResult rejoin_from_store(const StoredRun& run) {
   obs::Observer* observer = obs::Observer::installed();
   obs::ScopedSpan span(observer ? &observer->tracer() : nullptr,
@@ -948,7 +1003,6 @@ StoreAnalysis analyze_store(const std::string& path, bool use_mmap) {
   a.failures = core::failure_summary(joined);
   a.duration_series = core::duration_impact_series(joined);
   a.by_anycast = core::impact_by_anycast(joined);
-  a.monthly = core::monthly_joined_summary(joined);
 
   span.set_items(reader.columns().size());
   if (observer) {

@@ -180,6 +180,27 @@ std::uint64_t save_run(const std::string& path,
 /// buffered fallback (`analyze --no-mmap`).
 StoredRun load_run(const std::string& path, bool use_mmap = true);
 
+/// What the serve engine (serve/query_engine.h) indexes of a run: the
+/// joined events, the per-(NSSet, day) sweep aggregates and a count of
+/// stitched telescope events per victim. A small fraction of a stored
+/// run: no feed records, stitched events or window/ns_seen aggregates.
+struct ServingInputs {
+  std::vector<core::NssetAttackEvent> joined;
+  /// (MeasurementStore day key, aggregate), ascending by key.
+  std::vector<std::pair<std::uint64_t, openintel::Aggregate>> daily;
+  /// (victim address value, stitched events), ascending by victim.
+  std::vector<telescope::VictimEventCount> victim_events;
+};
+
+/// Load a save_run store for serving. Like load_run it validates every
+/// block checksum and asserts the stored feed-record, stitched-event and
+/// joined-event counts against what it decoded, throwing store::StoreError
+/// on any defect. It then decodes only the joined events, the "daily"
+/// aggregates and the feed's victim and window columns, which
+/// telescope::count_victim_events stitches into per-victim counts. Traced
+/// as `store.serve_load` (items = feed rows).
+ServingInputs load_serving_inputs(const std::string& path);
+
 /// Re-run the join stage from a loaded store: the world is rebuilt from
 /// the stored provenance (deterministic in the seed) and the join reads
 /// the stored aggregates — no sweep. The result must equal `run.joined`
@@ -233,7 +254,6 @@ struct StoreAnalysis {
   core::FailureSummary failures;
   core::CorrelationSeries duration_series;
   std::vector<core::GroupImpact> by_anycast;
-  std::vector<core::MonthlyJoinedRow> monthly;
 };
 
 StoreAnalysis analyze_store(const std::string& path, bool use_mmap = true);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "core/impact.h"
 #include "obs/obs.h"
@@ -19,11 +20,36 @@ const char* to_string(TopKMetric metric) {
   return "?";
 }
 
-QueryEngine::QueryEngine(const scenario::RunArtifacts& run) : run_(&run) {
+namespace {
+
+// A live or loaded run reduced to what the engine indexes: its stitched
+// events tallied per victim, the rest copied.
+scenario::ServingInputs serving_inputs_of(const scenario::RunArtifacts& run) {
+  scenario::ServingInputs in;
+  in.joined = run.joined;
+  in.daily = run.store.sorted_daily();
+  util::FlatMap<std::uint32_t, std::uint64_t> per_victim;
+  for (const auto& ev : run.events) {
+    ++*per_victim.try_emplace(ev.victim.value(), std::uint64_t{0}).first;
+  }
+  in.victim_events.reserve(per_victim.size());
+  for (const auto& [ip, count] : per_victim.sorted_items()) {
+    in.victim_events.emplace_back(ip, count);
+  }
+  return in;
+}
+
+}  // namespace
+
+QueryEngine::QueryEngine(const scenario::RunArtifacts& run)
+    : QueryEngine(serving_inputs_of(run)) {}
+
+QueryEngine::QueryEngine(scenario::ServingInputs inputs)
+    : joined_(std::move(inputs.joined)) {
   obs::ScopedSpan span(obs::installed_tracer(), "serve.build_indexes");
   build_nsset_index();
-  build_series_index();
-  build_leaderboards();
+  build_series_index(inputs.daily);
+  build_leaderboards(inputs.victim_events);
   build_window_index();
   span.set_items(summaries_.size());
   if (obs::Observer* o = obs::Observer::installed()) {
@@ -37,7 +63,7 @@ QueryEngine::QueryEngine(const scenario::RunArtifacts& run) : run_(&run) {
 }
 
 void QueryEngine::build_nsset_index() {
-  const auto& joined = run_->joined;
+  const auto& joined = joined_;
 
   // Group joined-event indices by NSSet with a counting pass, preserving
   // canonical event order within each group (the grouping walk is stable).
@@ -82,11 +108,12 @@ void QueryEngine::build_nsset_index() {
   }
 }
 
-void QueryEngine::build_series_index() {
+void QueryEngine::build_series_index(
+    const std::vector<std::pair<std::uint64_t, openintel::Aggregate>>&
+        daily) {
   // The store's daily map is keyed time-major ((day, nsset) ascending);
   // the serving index wants nsset-major so one NSSet's series is a
   // contiguous span. Re-key and sort — unique keys, so the order is total.
-  const auto daily = run_->store.sorted_daily();
   struct Keyed {
     dns::NssetId nsset;
     DayPoint point;
@@ -138,16 +165,13 @@ void QueryEngine::build_series_index() {
   std::sort(keys_.begin(), keys_.end());
 }
 
-void QueryEngine::build_leaderboards() {
+void QueryEngine::build_leaderboards(
+    const std::vector<telescope::VictimEventCount>& victim_events) {
   // Attacks per victim IP, over ALL telescope events (the raw "top
   // attacked targets" view; the joined leaderboards below are DNS-only by
-  // construction).
-  util::FlatMap<std::uint32_t, std::uint64_t> per_victim;
-  for (const auto& ev : run_->events) {
-    ++*per_victim.try_emplace(ev.victim.value(), std::uint64_t{0}).first;
-  }
-  top_attacks_.reserve(per_victim.size());
-  for (const auto& [ip, count] : per_victim.sorted_items()) {
+  // construction). The counts arrive ascending by victim.
+  top_attacks_.reserve(victim_events.size());
+  for (const auto& [ip, count] : victim_events) {
     top_attacks_.push_back({ip, static_cast<double>(count)});
   }
   // Descending value; the pre-sort by ascending key makes the stable sort's
@@ -170,7 +194,7 @@ void QueryEngine::build_leaderboards() {
 }
 
 void QueryEngine::build_window_index() {
-  const auto& joined = run_->joined;
+  const auto& joined = joined_;
   if (joined.empty()) return;
   day_min_ = day_max_ = joined.front().rsdos.start_time().day();
   for (const auto& ev : joined) {

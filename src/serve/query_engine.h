@@ -2,10 +2,15 @@
 //
 // A run today is write-once/analyze-once: `analyze --store` recomputes the
 // headline statistics in one batch pass and exits. The engine turns the
-// same artifacts into an interactive read path: it loads a run (a
-// scenario::StoredRun from scenario::load_run, or a live
-// LongitudinalResult — both are RunArtifacts) and builds three immutable,
-// read-optimized indexes:
+// same artifacts into an interactive read path. It is built from
+// scenario::ServingInputs — the joined events, the per-(NSSet, day) sweep
+// aggregates and a per-victim count of stitched telescope events — which
+// scenario::load_serving_inputs reads straight from a DRS store (every
+// block verified, only those datasets and the feed's victim/window
+// columns decoded; `serve` never goes through StoredRun). A live
+// LongitudinalResult or a load_run StoredRun (both RunArtifacts) is
+// reduced to the same inputs by a thin adapter, so the index build has
+// one implementation. It builds three immutable, read-optimized indexes:
 //
 //   * per-NSSet index — joined NSSet-attack events grouped by NSSet plus
 //     the per-(NSSet, day) sweep time series, both behind one
@@ -37,6 +42,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/join.h"
@@ -130,8 +136,13 @@ struct WindowScanResult {
 
 class QueryEngine {
  public:
-  /// Build the indexes from a finished run. `run` must outlive the engine
-  /// (joined-event spans alias it). Single-threaded, called once.
+  /// Build the indexes from what scenario::load_serving_inputs read of a
+  /// store. The engine keeps the joined events; the rest is consumed.
+  /// Single-threaded, called once.
+  explicit QueryEngine(scenario::ServingInputs inputs);
+  /// Build from a live or fully loaded run: tallies its stitched events
+  /// per victim, copies the joined events and the daily aggregates, and
+  /// builds as above. `run` may be destroyed afterwards.
   explicit QueryEngine(const scenario::RunArtifacts& run);
 
   QueryEngine(const QueryEngine&) = delete;
@@ -158,9 +169,9 @@ class QueryEngine {
   /// Load drivers map key-chooser indices through this span.
   std::span<const dns::NssetId> keys() const { return keys_; }
 
-  /// Joined events the per-NSSet index refers into (the run's vector).
+  /// Joined events the per-NSSet index refers into (engine-owned).
   const std::vector<core::NssetAttackEvent>& joined() const {
-    return run_->joined;
+    return joined_;
   }
 
   /// Indexed day range of the window index ([0, -1] when no events).
@@ -189,11 +200,14 @@ class QueryEngine {
   };
 
   void build_nsset_index();
-  void build_series_index();
-  void build_leaderboards();
+  void build_series_index(
+      const std::vector<std::pair<std::uint64_t, openintel::Aggregate>>&
+          daily);
+  void build_leaderboards(
+      const std::vector<telescope::VictimEventCount>& victim_events);
   void build_window_index();
 
-  const scenario::RunArtifacts* run_;
+  std::vector<core::NssetAttackEvent> joined_;
 
   // nsset -> slot into summaries_/event_ranges_/series_ranges_.
   util::FlatMap<dns::NssetId, std::uint32_t> slot_of_;

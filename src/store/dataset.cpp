@@ -83,6 +83,8 @@ void write_aggregates(
                             [](const Row& r) { return r.second.rtt.raw().max; }));
 }
 
+}  // namespace
+
 std::vector<std::pair<std::uint64_t, openintel::Aggregate>> read_aggregates(
     const Reader& reader, const char* dataset) {
   const std::uint64_t rows = reader.dataset_rows(dataset);
@@ -124,8 +126,6 @@ std::vector<std::pair<std::uint64_t, openintel::Aggregate>> read_aggregates(
   }
   return out;
 }
-
-}  // namespace
 
 void write_feed_records(Writer& writer,
                         const std::vector<telescope::RSDoSRecord>& records) {

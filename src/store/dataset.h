@@ -18,6 +18,8 @@
 // checksum or schema defect.
 #pragma once
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/join.h"
@@ -39,6 +41,11 @@ void write_measurements(Writer& writer,
 /// not here.
 void read_measurements(const Reader& reader,
                        openintel::MeasurementStore& store);
+
+/// Decode one aggregate dataset ("daily" or "window") as (key, aggregate)
+/// rows in file order, which is ascending key order.
+std::vector<std::pair<std::uint64_t, openintel::Aggregate>> read_aggregates(
+    const Reader& reader, const char* dataset);
 
 void write_joined_events(Writer& writer,
                          const std::vector<core::NssetAttackEvent>& events);

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 
 #include "exec/parallel.h"
 #include "obs/obs.h"
+#include "util/radix.h"
 #include "util/strings.h"
 
 namespace ddos::telescope {
@@ -228,6 +230,102 @@ std::vector<RSDoSEvent> stitch_events(std::span<const RSDoSRecord> records,
         acc.absorb(std::move(part));
       });
   return all.finish();
+}
+
+std::vector<VictimEventCount> count_victim_events(
+    std::span<const std::uint64_t> victims,
+    std::span<const std::uint64_t> windows, const InferenceParams& params) {
+  obs::ScopedSpan span(obs::installed_tracer(), "feed.count_stitch");
+  const std::size_t n = victims.size();
+  span.set_items(n);
+  if (windows.size() != n) {
+    throw std::invalid_argument(
+        "count_victim_events: victim and window columns differ in length");
+  }
+  const std::int64_t reach =
+      static_cast<std::int64_t>(params.max_gap_windows) + 1;
+
+  // Collapse each stretch of consecutive rows of one victim whose windows
+  // step by at most reach into one segment [start, end]. A segment's
+  // windows are gap-connected, so a victim's runs are the gap-connected
+  // unions of its segments. An attack's rows arrive as such a stretch, so
+  // there are about as many segments as attacks, an order of magnitude
+  // fewer than rows.
+  struct Segment {
+    std::uint32_t victim = 0;
+    std::int64_t start = 0;
+    std::int64_t end = 0;
+  };
+  exec::RegionOptions opts;
+  opts.label = "feed.count_stitch.segment";
+  const std::vector<Segment> segments = exec::parallel_map_reduce(
+      n, opts, std::vector<Segment>{},
+      [&](const exec::ShardRange& range) {
+        std::vector<Segment> part;
+        for (std::size_t i = range.begin; i < range.end; ++i) {
+          const auto victim = static_cast<std::uint32_t>(victims[i]);
+          const auto w = static_cast<std::int64_t>(windows[i]);
+          if (!part.empty() && part.back().victim == victim) {
+            // Modular step from the previous row: exact unless the windows
+            // are 2^63 or more apart, which the span check below rejects.
+            const auto step =
+                static_cast<std::int64_t>(windows[i] - windows[i - 1]);
+            if (step >= -reach && step <= reach) {
+              Segment& seg = part.back();
+              seg.start = std::min(seg.start, w);
+              seg.end = std::max(seg.end, w);
+              continue;
+            }
+          }
+          part.push_back({victim, w, w});
+        }
+        return part;
+      },
+      [](std::vector<Segment>& all, std::vector<Segment>&& part) {
+        all.insert(all.end(), part.begin(), part.end());
+      });
+  if (segments.empty()) return {};
+
+  // Sort the segments by (victim, start) as (victim << 32 | start - base,
+  // end - start) pairs; rebasing to the smallest window keeps gaps, and
+  // so runs, unchanged.
+  std::int64_t base = segments.front().start;
+  std::int64_t top = segments.front().end;
+  for (const Segment& seg : segments) {
+    base = std::min(base, seg.start);
+    top = std::max(top, seg.end);
+  }
+  if (static_cast<std::uint64_t>(top) - static_cast<std::uint64_t>(base) >
+      0xFFFFFFFFu) {
+    throw std::invalid_argument(
+        "count_victim_events: feed windows span 2^32 or more");
+  }
+  std::vector<util::KeyedIndex> keyed;
+  keyed.reserve(segments.size());
+  for (const Segment& seg : segments) {
+    keyed.emplace_back(std::uint64_t{seg.victim} << 32 |
+                           static_cast<std::uint64_t>(seg.start - base),
+                       static_cast<std::uint32_t>(seg.end - seg.start));
+  }
+  std::vector<util::KeyedIndex> scratch;
+  util::radix_sort_keyed(keyed, scratch);
+
+  // Interval merge per victim: a segment starting more than reach past
+  // the furthest end so far opens a new run.
+  std::vector<VictimEventCount> counts;
+  std::int64_t run_end = 0;
+  for (const auto& [key, length] : keyed) {
+    const auto victim = static_cast<std::uint32_t>(key >> 32);
+    const auto start = static_cast<std::int64_t>(key & 0xFFFFFFFFu);
+    if (counts.empty() || counts.back().first != victim) {
+      counts.emplace_back(victim, 1);
+      run_end = start;
+    } else if (start - run_end > reach) {
+      ++counts.back().second;
+    }
+    run_end = std::max(run_end, start + length);
+  }
+  return counts;
 }
 
 std::vector<DayEventBatch> group_events_by_day(

@@ -17,6 +17,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "attack/backscatter.h"
@@ -156,6 +157,25 @@ class EventStitcher {
 /// absorbed in range order, then finish(). Traced as `feed.stitch`.
 std::vector<RSDoSEvent> stitch_events(std::span<const RSDoSRecord> records,
                                       const InferenceParams& params);
+
+/// (victim address value, stitched events of that victim).
+using VictimEventCount = std::pair<std::uint32_t, std::uint64_t>;
+
+/// Count-only stitch over the feed's victim and window columns (row i is
+/// record i; windows are WindowIndex values as stored). Yields, ascending
+/// by victim, exactly the per-victim event counts stitch_events gives the
+/// same records, without building records or runs: consecutive rows of
+/// one victim within reach of each other collapse into window segments
+/// (in parallel on exec::global_pool()), the segments are radix-sorted by
+/// (victim, start), and a run breaks where a segment starts more than
+/// max_gap_windows + 1 past the furthest end before it. Input order is
+/// free (victims recur across attacks, so a victim's windows are unsorted
+/// in the feed). The windows must span fewer than 2^32 values (throws
+/// std::invalid_argument otherwise, or when the columns differ in
+/// length). Traced as `feed.count_stitch`.
+std::vector<VictimEventCount> count_victim_events(
+    std::span<const std::uint64_t> victims,
+    std::span<const std::uint64_t> windows, const InferenceParams& params);
 
 /// One day-epoch's worth of stitched events, identified by index into the
 /// canonical (victim, start_window)-ordered event vector rather than by

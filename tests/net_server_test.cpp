@@ -383,12 +383,12 @@ TEST_F(NetServerTest, InstallEngineSwapsLiveUnderConcurrentLoad) {
 }
 
 // Unmap safety across store-backed swaps: EngineHandle::load goes
-// through the mmap reader, and load_run copies every decoded dataset
-// into the StoredRun before the mapping closes — so answers must never
+// through the mmap reader, and load_serving_inputs copies every decoded
+// column out before the mapping closes — so answers must never
 // reference bytes of a store file that has since been swapped out (and
 // even deleted). Swapping repeatedly between two loaded stores while
-// clients hammer TopK (whose rows point into the engine's run) is the
-// dangling-read probe; the TSan job runs this binary to make any
+// clients hammer TopK (whose rows come from the engine's own arrays) is
+// the dangling-read probe; the TSan job runs this binary to make any
 // lifetime violation loud.
 TEST_F(NetServerTest, StoreBackedSwapNeverDanglesIntoTheMapping) {
   const std::string path_a = temp_path("net-swap-a.drs");

@@ -20,9 +20,12 @@
 #include <string>
 #include <vector>
 
+#include "core/analysis.h"
 #include "scenario/driver.h"
 #include "scenario/plan.h"
+#include "store/dataset.h"
 #include "store/merge.h"
+#include "store/reader.h"
 
 namespace ddos::scenario {
 namespace {
@@ -223,7 +226,14 @@ TEST(ShardMerge, ByteIdenticalToWholeRunStore) {
       EXPECT_EQ(merged.swept_measurements, single.swept_measurements);
       EXPECT_EQ(merged.impact.impaired_10x, single.impact.impaired_10x);
       EXPECT_EQ(merged.impact.severe_100x, single.impact.severe_100x);
-      EXPECT_EQ(merged.monthly.size(), single.monthly.size());
+      // analyze does not compute the monthly rollup: fold it over each
+      // store's decoded joined rows.
+      const auto monthly_of = [](const std::string& p) {
+        return core::monthly_joined_summary(
+            store::read_joined_events(store::Reader(p)));
+      };
+      EXPECT_EQ(monthly_of(merged_path).size(),
+                monthly_of(whole_path).size());
     }
 
     for (const std::string& path : shard_paths) {

@@ -16,6 +16,7 @@
 
 #include "core/analysis.h"
 #include "core/impact.h"
+#include "exec/pool.h"
 #include "openintel/storage.h"
 #include "scenario/driver.h"
 #include "serve/query_engine.h"
@@ -241,45 +242,77 @@ TEST_F(ServeParityTest, TopKNssetBoardsMatchBruteForce) {
   check(TopKMetric::FailureRate, fail);
 }
 
+// Every answer of `b` must equal `a`'s: every key's point lookup, each
+// leaderboard in full, and the window scan of every day range (including
+// ranges hanging off either end of the indexed days).
+void expect_same_answers(const QueryEngine& a, const QueryEngine& b) {
+  ASSERT_EQ(b.nsset_count(), a.nsset_count());
+  ASSERT_EQ(b.series_points(), a.series_points());
+  ASSERT_EQ(b.leaderboard_entries(), a.leaderboard_entries());
+  ASSERT_EQ(b.day_min(), a.day_min());
+  ASSERT_EQ(b.day_max(), a.day_max());
+  ASSERT_TRUE(std::equal(b.keys().begin(), b.keys().end(), a.keys().begin(),
+                         a.keys().end()));
+  EXPECT_EQ(b.joined(), a.joined());
+
+  for (const dns::NssetId nsset : a.keys()) {
+    const PointResult pa = a.point_lookup(nsset);
+    const PointResult pb = b.point_lookup(nsset);
+    ASSERT_EQ(pa.found, pb.found);
+    EXPECT_EQ(pa.summary, pb.summary) << "nsset " << nsset;
+    ASSERT_EQ(pa.event_indices.size(), pb.event_indices.size());
+    EXPECT_TRUE(std::equal(pa.event_indices.begin(), pa.event_indices.end(),
+                           pb.event_indices.begin()));
+    ASSERT_EQ(pa.series.size(), pb.series.size());
+    EXPECT_TRUE(
+        std::equal(pa.series.begin(), pa.series.end(), pb.series.begin()));
+  }
+  for (const TopKMetric metric :
+       {TopKMetric::Attacks, TopKMetric::PeakImpact,
+        TopKMetric::FailureRate}) {
+    std::vector<TopEntry> ta, tb;
+    a.top_k(metric, 1u << 20, ta);
+    b.top_k(metric, 1u << 20, tb);
+    EXPECT_EQ(ta, tb) << to_string(metric);
+  }
+  std::size_t scans = 0, mismatched = 0;
+  for (netsim::DayIndex lo = a.day_min() - 1; lo <= a.day_max() + 1; ++lo) {
+    for (netsim::DayIndex hi = lo - 1; hi <= a.day_max() + 1; ++hi) {
+      ++scans;
+      if (a.window_scan(lo, hi) != b.window_scan(lo, hi)) ++mismatched;
+    }
+  }
+  EXPECT_EQ(mismatched, 0u) << "of " << scans << " window scans";
+}
+
 // A DRS round trip must not change a single answer: build a second engine
 // from save_run/load_run and compare every query against the live one.
 TEST_F(ServeParityTest, StoredRunEngineAnswersIdentically) {
   const std::string path = temp_path("serve-parity.drs");
   ASSERT_GT(scenario::save_run(path, *config_, 1, *result_), 0u);
   const scenario::StoredRun stored = scenario::load_run(path);
-  QueryEngine loaded(stored);
+  const QueryEngine loaded(stored);
+  expect_same_answers(*engine_, loaded);
+  std::filesystem::remove(path);
+}
 
-  ASSERT_EQ(loaded.nsset_count(), engine_->nsset_count());
-  ASSERT_EQ(loaded.series_points(), engine_->series_points());
-  ASSERT_EQ(loaded.day_min(), engine_->day_min());
-  ASSERT_EQ(loaded.day_max(), engine_->day_max());
-  ASSERT_TRUE(std::equal(loaded.keys().begin(), loaded.keys().end(),
-                         engine_->keys().begin(), engine_->keys().end()));
-
-  for (const dns::NssetId nsset : engine_->keys()) {
-    const PointResult a = engine_->point_lookup(nsset);
-    const PointResult b = loaded.point_lookup(nsset);
-    ASSERT_EQ(a.found, b.found);
-    EXPECT_EQ(a.summary, b.summary) << "nsset " << nsset;
-    ASSERT_EQ(a.event_indices.size(), b.event_indices.size());
-    EXPECT_TRUE(std::equal(a.event_indices.begin(), a.event_indices.end(),
-                           b.event_indices.begin()));
-    ASSERT_EQ(a.series.size(), b.series.size());
-    EXPECT_TRUE(
-        std::equal(a.series.begin(), a.series.end(), b.series.begin()));
+// The serve loader (verify every block, decode the joined events, the
+// daily aggregates and two feed columns, count-only stitch) must build an
+// engine that answers exactly like one built from the full load_run, at
+// pool widths 1 and 4.
+TEST_F(ServeParityTest, LeanLoadAnswersLikeLoadRun) {
+  const std::string path = temp_path("serve-parity-lean.drs");
+  ASSERT_GT(scenario::save_run(path, *config_, 1, *result_), 0u);
+  const scenario::StoredRun stored = scenario::load_run(path);
+  const QueryEngine full(stored);
+  const unsigned saved_threads = exec::global_pool().thread_count();
+  for (const unsigned width : {1u, 4u}) {
+    exec::set_global_threads(width);
+    SCOPED_TRACE("pool width " + std::to_string(width));
+    const QueryEngine lean(scenario::load_serving_inputs(path));
+    expect_same_answers(full, lean);
   }
-  for (const TopKMetric metric :
-       {TopKMetric::Attacks, TopKMetric::PeakImpact,
-        TopKMetric::FailureRate}) {
-    std::vector<TopEntry> a, b;
-    engine_->top_k(metric, 1u << 20, a);
-    loaded.top_k(metric, 1u << 20, b);
-    EXPECT_EQ(a, b) << to_string(metric);
-  }
-  for (netsim::DayIndex d = engine_->day_min(); d <= engine_->day_max();
-       d += 11) {
-    EXPECT_EQ(engine_->window_scan(d, d + 30), loaded.window_scan(d, d + 30));
-  }
+  exec::set_global_threads(saved_threads);
   std::filesystem::remove(path);
 }
 

@@ -3,11 +3,13 @@
 // load a damaged file.
 //
 //   * A flip in any column block — including the feed and measurement
-//     blocks `analyze --store` checks but never decodes — must make
-//     analyze_store (mapped and buffered) and load_run throw an error
-//     naming that block's dataset.column.
+//     blocks `analyze --store` and the serve loader check but never
+//     decode — must make analyze_store (mapped and buffered), load_run and
+//     net::EngineHandle::load (the `serve` set-up) throw an error naming
+//     that block's dataset.column.
 //   * Truncations (mid-block, mid-footer, inside the trailer) and flips in
-//     the header, footer or trailer must throw from the Reader itself.
+//     the header, footer or trailer must throw from the Reader itself,
+//     and from analyze and the serve set-up.
 //
 // Offsets come from a fixed-seed netsim::Rng, so every run exercises the
 // same bytes.
@@ -23,8 +25,10 @@
 #include <string>
 #include <vector>
 
+#include "net/server.h"
 #include "netsim/rng.h"
 #include "obs/obs.h"
+#include "obs/trace.h"
 #include "scenario/driver.h"
 #include "store/format.h"
 #include "store/reader.h"
@@ -142,6 +146,35 @@ TEST_F(StoreCorruption, PristineStoreVerifiesEveryBlockOnce) {
   std::filesystem::remove(path);
 }
 
+// The serve set-up verifies every block once too, decodes only part of
+// the file, and still reports the read: its span and the store read
+// gauges are set.
+TEST_F(StoreCorruption, PristineStoreServeLoadVerifiesEveryBlockOnce) {
+  const std::string path = temp_path("corruption-serve.drs");
+  write_file(path, *pristine_);
+  obs::Observer observer;
+  const obs::ScopedInstall install(observer);
+  const auto handle = net::EngineHandle::load(path, 0);
+  EXPECT_FALSE(handle->engine().joined().empty());
+  EXPECT_EQ(observer.pipeline.store_crc_lazy_checks.value(),
+            columns_->size());
+  EXPECT_EQ(observer.pipeline.store_bytes_read.value(),
+            static_cast<double>(pristine_->size()));
+  EXPECT_GT(observer.pipeline.store_read_MBps.value(), 0.0);
+  std::size_t load_spans = 0, stitch_spans = 0;
+  for (const obs::TraceEvent& ev : observer.tracer().events()) {
+    if (ev.name == "store.serve_load") {
+      ++load_spans;
+      EXPECT_GT(ev.items, 0u);
+    }
+    if (ev.name == "feed.count_stitch") ++stitch_spans;
+    EXPECT_NE(ev.name, "feed.stitch") << "serve set-up ran the full stitch";
+  }
+  EXPECT_EQ(load_spans, 1u);
+  EXPECT_EQ(stitch_spans, 1u);
+  std::filesystem::remove(path);
+}
+
 TEST_F(StoreCorruption, EveryBlockFlipFailsAnalyzeAndLoadNamingTheBlock) {
   const std::string path = temp_path("corruption-block.drs");
   write_file(path, *pristine_);
@@ -161,6 +194,8 @@ TEST_F(StoreCorruption, EveryBlockFlipFailsAnalyzeAndLoadNamingTheBlock) {
     }
     expect_store_error([&] { load_run(path); }, block,
                        "load_run with a flip in " + block);
+    expect_store_error([&] { net::EngineHandle::load(path, 0); }, block,
+                       "EngineHandle::load with a flip in " + block);
     xor_byte(path, offset, mask);
     ++flipped;
   }
@@ -172,7 +207,7 @@ TEST_F(StoreCorruption, EveryBlockFlipFailsAnalyzeAndLoadNamingTheBlock) {
 }
 
 // A store holding `bytes` must fail to open in both reader modes, and
-// analyze_store must throw on it too.
+// analyze_store and the serve set-up must throw on it too.
 void expect_reader_rejects(const std::string& path, const std::string& bytes,
                            const std::string& what) {
   write_file(path, bytes);
@@ -182,6 +217,7 @@ void expect_reader_rejects(const std::string& path, const std::string& bytes,
                                                     : " (buffered)");
   }
   EXPECT_THROW(analyze_store(path), store::StoreError) << what;
+  EXPECT_THROW(net::EngineHandle::load(path, 0), store::StoreError) << what;
 }
 
 TEST_F(StoreCorruption, TruncationsFailInTheReader) {

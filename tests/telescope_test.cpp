@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
+#include <stdexcept>
 
 #include "exec/parallel.h"
 #include "exec/pool.h"
@@ -313,6 +315,77 @@ TEST_F(Stitching, ThirdFragmentBridgesTwoRuns) {
     EXPECT_EQ(events[0].total_packets, 1500u);
     EXPECT_EQ(stitch_events(records, params), events);
   }
+}
+
+// The count-only stitch must give every victim exactly as many events as
+// stitch_events does. The oracle is stitch_events itself, tallied per
+// victim, over input built to hit the count stitch's edges: one victim's
+// windows out of order, duplicated, and gapped by exactly reach and
+// reach + 1; negative windows (rebasing); top-of-range addresses (the
+// key's high half); one victim whose rows are scattered through every row
+// shard; and one long in-order stretch that crosses row-shard boundaries
+// (segments cut at a boundary must merge back).
+TEST_F(Stitching, CountStitchMatchesStitchEventsTally) {
+  Records records = mixed_records();
+  const IPv4Addr edge(9, 9, 9, 9);
+  for (const netsim::WindowIndex w : {50, 40, 44, 47, 47, 40, 59, 56, 53}) {
+    records.push_back(rec_at(edge, w));
+  }
+  records.push_back(rec_at(IPv4Addr(255, 255, 255, 255), -5));
+  records.push_back(rec_at(IPv4Addr(255, 255, 255, 255), -2));
+  records.push_back(rec_at(IPv4Addr(255, 255, 255, 254), 1'000'000));
+  netsim::Rng rng(4242);
+  const IPv4Addr heavy(172, 16, 0, 1);
+  Records mixed;
+  for (const RSDoSRecord& rec : records) {
+    mixed.push_back(rec);
+    for (int k = 0; k < 4; ++k) {
+      mixed.push_back(rec_at(heavy, rng.uniform_int(0, 20000)));
+    }
+  }
+  const IPv4Addr stretch(192, 168, 7, 7);
+  for (netsim::WindowIndex w = 0; w < 6000; ++w) {
+    mixed.push_back(rec_at(stretch, w < 3000 ? w : w + 6));
+  }
+  ASSERT_GT(mixed.size(), 10000u);
+
+  std::vector<std::uint64_t> victims, windows;
+  for (const RSDoSRecord& rec : mixed) {
+    victims.push_back(rec.victim.value());
+    windows.push_back(static_cast<std::uint64_t>(rec.window));
+  }
+  for (const int max_gap : {0, 2, 5}) {
+    InferenceParams params;
+    params.max_gap_windows = max_gap;
+    std::map<std::uint32_t, std::uint64_t> tally;
+    for (const RSDoSEvent& ev : stitch_events(mixed, params)) {
+      ++tally[ev.victim.value()];
+    }
+    const std::vector<VictimEventCount> expected(tally.begin(), tally.end());
+    ASSERT_GT(tally[heavy.value()], 100u);
+    if (max_gap == 2) {
+      // Sorted windows 40 40 44 47 47 50 53 56 59 at reach 3: 40 | 44..59.
+      EXPECT_EQ(tally[edge.value()], 2u);
+      EXPECT_EQ(tally[stretch.value()], 2u);  // 0..2999 | 3006..6005
+    }
+    for (const unsigned width : kPoolWidths) {
+      exec::set_global_threads(width);
+      EXPECT_EQ(count_victim_events(victims, windows, params), expected)
+          << "max_gap " << max_gap << ", pool width " << width;
+    }
+  }
+}
+
+TEST(CountStitch, RejectsMismatchedOrUnkeyableColumns) {
+  const InferenceParams params;
+  EXPECT_TRUE(count_victim_events({}, {}, params).empty());
+  const std::vector<std::uint64_t> two_victims = {1, 2};
+  const std::vector<std::uint64_t> one_window = {7};
+  EXPECT_THROW(count_victim_events(two_victims, one_window, params),
+               std::invalid_argument);
+  const std::vector<std::uint64_t> wide = {0, std::uint64_t{1} << 32};
+  EXPECT_THROW(count_victim_events(two_victims, wide, params),
+               std::invalid_argument);
 }
 
 TEST(Segmentation, EventTimes) {

@@ -1069,18 +1069,18 @@ int cmd_serve(util::FlagParser& flags) {
     return 0;
   }
 
-  // Fill phase: load the stored run, then build the serve indexes.
-  scenario::StoredRun run;
+  // Fill phase: read what the engine indexes, then build the indexes.
+  scenario::ServingInputs inputs;
   const Clock::time_point load_start = Clock::now();
   try {
-    run = scenario::load_run(store_path);
+    inputs = scenario::load_serving_inputs(store_path);
   } catch (const store::StoreError& e) {
     std::cerr << "store error: " << e.what() << "\n";
     return 1;
   }
   const double load_s = seconds_since(load_start);
   const Clock::time_point build_start = Clock::now();
-  serve::QueryEngine engine(run);
+  serve::QueryEngine engine(std::move(inputs));
   const double build_s = seconds_since(build_start);
   std::cout << "fill: " << store_path << " loaded in "
             << util::format_fixed(load_s, 2) << "s; indexed "
