@@ -12,11 +12,13 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "attack/backscatter.h"
 #include "exec/pool.h"
@@ -36,7 +38,7 @@
 #include "scenario/driver.h"
 #include "serve/driver.h"
 #include "store/merge.h"
-#include "store/scan.h"
+#include "store/reader.h"
 #include "serve/query_engine.h"
 #include "telescope/feed.h"
 #include "topology/prefix_table.h"
@@ -334,9 +336,9 @@ void write_pipeline_json(const char* path, std::uint64_t peak_rss_bytes) {
 
   // DRS store round trip at the same world size: write the N-thread
   // result, then read it back three ways —
-  //   * store_read_ns / store_read_MBps: an explicit full-file decode
-  //     (mmap Reader + ColumnArena + scan_all: every block CRC-checked
-  //     and decoded once, zero-copy where the layout allows). Guarded.
+  //   * store_read_ns / store_read_MBps: a full-file read through the
+  //     production decoders (Reader::validate_all, then every column
+  //     through Reader::read_* in one parallel_decode). Guarded.
   //   * store_analyze_ns / analyze_vs_run_speedup: the analyze_store
   //     pass (verify every block, decode the joined events, every
   //     headline kernel) against the wall clock of re-simulating.
@@ -364,19 +366,45 @@ void write_pipeline_json(const char* path, std::uint64_t peak_rss_bytes) {
     std::cerr << "STORE ROUND-TRIP VIOLATION: loaded events differ from the "
                  "generating run\n";
   }
-  const auto scan_start = std::chrono::steady_clock::now();
+  const auto read_start = std::chrono::steady_clock::now();
   {
-    const store::Reader reader(store_path, store::ReadMode::Mapped);
-    store::ColumnArena arena;
-    const std::uint64_t payload = store::scan_all(reader, arena);
-    benchmark::DoNotOptimize(payload);
-    if (payload == 0 || payload > reader.file_size()) {
-      std::cerr << "STORE SCAN VIOLATION: full-file decode touched " << payload
-                << " payload bytes of a " << reader.file_size()
-                << "-byte store\n";
+    const store::Reader reader(store_path);
+    reader.validate_all();
+    const std::vector<store::ColumnDesc>& columns = reader.columns();
+    std::vector<std::uint64_t> decoded(columns.size(), 0);
+    std::vector<std::function<void()>> jobs;
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+      jobs.push_back([&reader, &columns, &decoded, i] {
+        const store::ColumnDesc& c = columns[i];
+        switch (c.type) {
+          case store::ColumnType::U64:
+            decoded[i] = reader.read_u64(c.dataset, c.column).size();
+            break;
+          case store::ColumnType::F64:
+            decoded[i] = reader.read_f64(c.dataset, c.column).size();
+            break;
+          case store::ColumnType::U8:
+            decoded[i] = reader.read_u8(c.dataset, c.column).size();
+            break;
+          case store::ColumnType::Str:
+            decoded[i] = reader.read_strings(c.dataset, c.column).size();
+            break;
+        }
+      });
+    }
+    store::Reader::parallel_decode(jobs);
+    std::uint64_t footer_rows = 0, decoded_rows = 0;
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+      footer_rows += columns[i].rows;
+      decoded_rows += decoded[i];
+    }
+    if (decoded_rows != footer_rows || footer_rows == 0) {
+      std::cerr << "STORE READ VIOLATION: full-file decode returned "
+                << decoded_rows << " of the footer's " << footer_rows
+                << " rows\n";
     }
   }
-  const auto scan_end = std::chrono::steady_clock::now();
+  const auto read_end = std::chrono::steady_clock::now();
   const scenario::StoreAnalysis analysis = scenario::analyze_store(store_path);
   const auto analyze_end = std::chrono::steady_clock::now();
   install_store.reset();
@@ -388,8 +416,8 @@ void write_pipeline_json(const char* path, std::uint64_t peak_rss_bytes) {
 
   const std::uint64_t store_write_ns = wall_ns(write_start, write_end);
   const std::uint64_t store_load_ns = wall_ns(write_end, load_end);
-  const std::uint64_t store_read_ns = wall_ns(scan_start, scan_end);
-  const std::uint64_t store_analyze_ns = wall_ns(scan_end, analyze_end);
+  const std::uint64_t store_read_ns = wall_ns(read_start, read_end);
+  const std::uint64_t store_analyze_ns = wall_ns(read_end, analyze_end);
 
   // Plan/execute/compact at the same world size: run the 3-way shard
   // partition (sequentially — the slowest shard's wall is what a

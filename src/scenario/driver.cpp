@@ -764,13 +764,12 @@ ShardRunResult run_shard(const LongitudinalConfig& config,
   return out;
 }
 
-StoredRun load_run(const std::string& path, bool use_mmap) {
+StoredRun load_run(const std::string& path) {
   obs::Observer* observer = obs::Observer::installed();
   obs::ScopedSpan span(observer ? &observer->tracer() : nullptr, "store.read");
   const auto load_start = std::chrono::steady_clock::now();
 
-  const store::Reader reader(
-      path, use_mmap ? store::ReadMode::Mapped : store::ReadMode::Buffered);
+  const store::Reader reader(path);
 
   StoredRun run;
   LongitudinalConfig& cfg = run.config;
@@ -882,7 +881,7 @@ ServingInputs load_serving_inputs(const std::string& path) {
                        "store.serve_load");
   const auto load_start = std::chrono::steady_clock::now();
 
-  const store::Reader reader(path, store::ReadMode::Mapped);
+  const store::Reader reader(path);
   telescope::InferenceParams inference;
   inference.max_gap_windows =
       static_cast<std::uint32_t>(meta_u64(reader, "inference.max_gap_windows"));
@@ -954,13 +953,12 @@ bool rejoin_matches_store(const StoredRun& run, const RejoinResult& rejoin) {
   return rejoin.joined == run.joined && rejoin.stats == run.join_stats;
 }
 
-StoreAnalysis analyze_store(const std::string& path, bool use_mmap) {
+StoreAnalysis analyze_store(const std::string& path) {
   obs::Observer* observer = obs::Observer::installed();
   obs::ScopedSpan span(observer ? &observer->tracer() : nullptr,
                        "store.analyze");
 
-  const store::Reader reader(
-      path, use_mmap ? store::ReadMode::Mapped : store::ReadMode::Buffered);
+  const store::Reader reader(path);
 
   StoreAnalysis a;
   a.world_seed = meta_u64(reader, "world.seed");
@@ -979,7 +977,6 @@ StoreAnalysis analyze_store(const std::string& path, bool use_mmap) {
   a.joined = meta_u64(reader, "result.joined");
   a.swept_measurements = meta_u64(reader, "result.swept_measurements");
   a.file_bytes = reader.file_size();
-  a.mapped = reader.mapped();
 
   check_count(reader, "joined event (footer)", a.joined,
               reader.dataset_rows("events"));

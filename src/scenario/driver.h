@@ -174,11 +174,8 @@ std::uint64_t save_run(const std::string& path,
 
 /// Load a save_run store. Validates every block checksum and asserts the
 /// decoded datasets match the stored result counts; throws
-/// store::StoreError on any defect. `use_mmap` selects the zero-copy
-/// mapped reader (the default; decoded datasets are copies either way,
-/// so nothing dangles when the mapping closes on return) or the
-/// buffered fallback (`analyze --no-mmap`).
-StoredRun load_run(const std::string& path, bool use_mmap = true);
+/// store::StoreError on any defect.
+StoredRun load_run(const std::string& path);
 
 /// What the serve engine (serve/query_engine.h) indexes of a run: the
 /// joined events, the per-(NSSet, day) sweep aggregates and a count of
@@ -220,12 +217,12 @@ bool rejoin_matches_store(const StoredRun& run, const RejoinResult& rejoin);
 // ---- analyze pass over a stored run.
 //
 // `analyze_store` recomputes the headline §6 statistics of a DRS store:
-// the file is mapped (or buffered with use_mmap=false), every block's
-// CRC32C is verified in parallel (Reader::validate_all), so a corrupt
-// byte anywhere in the file fails the analyze, and then only the joined
-// "events" dataset is decoded and folded with the core/analysis row
-// kernels `run` prints with. Feed and measurement columns are checked,
-// never decoded. Throws store::StoreError on any defect.
+// the file is mapped, every block's CRC32C is verified in parallel
+// (Reader::validate_all), so a corrupt byte anywhere in the file fails
+// the analyze, and then only the joined "events" dataset is decoded and
+// folded with the core/analysis row kernels `run` prints with. Feed and
+// measurement columns are checked, never decoded. Throws
+// store::StoreError on any defect.
 
 struct StoreAnalysis {
   // Provenance echoed for the analyze header.
@@ -245,7 +242,6 @@ struct StoreAnalysis {
   std::uint64_t swept_measurements = 0;
   // Read statistics.
   std::uint64_t file_bytes = 0;
-  bool mapped = false;
   // File bytes over the wall time of the analyze read (verify every
   // block + decode the events); never 0 on success.
   double read_MBps = 0.0;
@@ -256,6 +252,6 @@ struct StoreAnalysis {
   std::vector<core::GroupImpact> by_anycast;
 };
 
-StoreAnalysis analyze_store(const std::string& path, bool use_mmap = true);
+StoreAnalysis analyze_store(const std::string& path);
 
 }  // namespace ddos::scenario

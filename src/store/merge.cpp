@@ -237,7 +237,7 @@ MergeStats merge_stores(const std::string& out_path,
   std::vector<std::unique_ptr<Reader>> readers;
   readers.reserve(shard_paths.size());
   for (const std::string& path : shard_paths) {
-    readers.push_back(std::make_unique<Reader>(path, ReadMode::Mapped));
+    readers.push_back(std::make_unique<Reader>(path));
   }
   const std::uint32_t count = static_cast<std::uint32_t>(shard_paths.size());
   std::vector<const Reader*> shards(count, nullptr);

@@ -5,8 +5,8 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <fstream>
-#include <sstream>
+#include <cerrno>
+#include <cstring>
 
 #include "exec/parallel.h"
 #include "obs/obs.h"
@@ -22,45 +22,35 @@ namespace {
 
 }  // namespace
 
-Reader::Reader(const std::string& path, ReadMode mode) : path_(path) {
-  if (mode == ReadMode::Mapped) {
-    int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd >= 0) {
-      struct stat st {};
-      if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-        auto size = static_cast<std::size_t>(st.st_size);
-        void* m = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-        if (m != MAP_FAILED) {
-          // The scan path touches every block front to back; tell the
-          // kernel so readahead stays aggressive.
-          ::posix_madvise(m, size, POSIX_MADV_WILLNEED);
-          map_ = m;
-          map_size_ = size;
-          data_ = std::string_view(static_cast<const char*>(m), size);
-        }
-      }
-      ::close(fd);
-    }
-    // Any failure above (no file, empty file, mmap refused — e.g. some
-    // network/overlay filesystems) falls through to the buffered path,
-    // which reports "cannot open" with the usual message if the file
-    // really is absent.
+Reader::Reader(const std::string& path) : path_(path) {
+  // O_NONBLOCK only keeps a FIFO from blocking the open; it is rejected
+  // below with every other file that is not regular.
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
+  if (fd < 0) fail(path, std::string("cannot open: ") + std::strerror(errno));
+  struct stat st {};
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    ::close(fd);
+    fail(path, "cannot map: not a regular file");
   }
-
-  if (map_ == nullptr) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) fail(path, "cannot open");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    buffer_ = std::move(buf).str();
-    data_ = buffer_;
+  const auto size = static_cast<std::size_t>(st.st_size);
+  if (size < kHeaderSize + kTrailerSize) {
+    ::close(fd);
+    fail(path, "truncated: smaller than header + trailer");
   }
+  void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+  const int map_errno = errno;
+  ::close(fd);
+  if (map == MAP_FAILED)
+    fail(path, std::string("cannot map: ") + std::strerror(map_errno));
+  // validate_all touches every block front to back; tell the kernel so
+  // readahead stays aggressive.
+  ::posix_madvise(map, size, POSIX_MADV_WILLNEED);
+  data_ = std::string_view(static_cast<const char*>(map), size);
 
   try {
     parse(data_);
   } catch (...) {
-    if (map_ != nullptr) ::munmap(map_, map_size_);
-    map_ = nullptr;
+    ::munmap(map, size);
     throw;
   }
 
@@ -69,21 +59,17 @@ Reader::Reader(const std::string& path, ReadMode mode) : path_(path) {
   for (std::size_t i = 0; i < columns_.size(); ++i)
     crc_checked_[i].store(0, std::memory_order_relaxed);
 
-  if (map_ != nullptr) {
-    if (obs::Observer* o = obs::Observer::installed())
-      o->pipeline.store_blocks_mapped.inc(columns_.size());
-  }
+  if (obs::Observer* o = obs::Observer::installed())
+    o->pipeline.store_blocks_mapped.inc(columns_.size());
 }
 
 Reader::~Reader() {
-  if (map_ != nullptr) ::munmap(map_, map_size_);
+  ::munmap(const_cast<char*>(data_.data()), data_.size());
 }
 
 void Reader::parse(std::string_view data) {
+  // The constructor has checked that the header and trailer fit.
   const std::string& path = path_;
-  if (data.size() < kHeaderSize + kTrailerSize)
-    fail(path, "truncated: smaller than header + trailer");
-
   std::size_t pos = 0;
   std::uint32_t magic = 0, version = 0;
   std::uint64_t reserved = 0;
@@ -135,7 +121,9 @@ void Reader::parse(std::string_view data) {
       fail(path, "malformed footer column index");
     if (!get_fixed32(footer, fpos, c.crc))
       fail(path, "malformed footer column index");
-    if (c.offset < kHeaderSize || c.offset + c.size > footer_begin)
+    // Compared without adding, so a huge offset or size cannot wrap.
+    if (c.offset < kHeaderSize || c.offset > footer_begin ||
+        c.size > footer_begin - c.offset)
       fail(path, "column '" + c.dataset + "." + c.column +
                      "' extends outside the block region");
     columns_.push_back(std::move(c));
@@ -197,15 +185,9 @@ std::string_view Reader::payload(const ColumnDesc& desc) const {
 }
 
 void Reader::check_crc(const ColumnDesc& desc) const {
-  // Descs handed out by this reader are elements of columns_, so the
-  // pointer difference is the block index into the lazy-check flags.
+  // Every caller passes an element of columns_, so the pointer
+  // difference is the block index into the lazy-check flags.
   const auto idx = static_cast<std::size_t>(&desc - columns_.data());
-  if (idx >= columns_.size()) {  // foreign desc: verify, nothing to track
-    if (crc32c(payload(desc)) != desc.crc)
-      fail(path_, "checksum mismatch in block '" + desc.dataset + "." +
-                      desc.column + "' (corrupt store)");
-    return;
-  }
   std::atomic<std::uint8_t>& flag = crc_checked_[idx];
   if (flag.load(std::memory_order_acquire) != 0) return;
   if (crc32c(payload(desc)) != desc.crc)
@@ -286,7 +268,7 @@ std::vector<std::string> Reader::read_strings(std::string_view dataset,
 
 void Reader::parallel_decode(const std::vector<std::function<void()>>& jobs) {
   exec::RegionOptions opts;
-  opts.label = "store.read";
+  opts.label = "store.decode";
   exec::parallel_for(jobs.size(), opts, [&](const exec::ShardRange& range) {
     for (std::size_t i = range.begin; i < range.end; ++i) jobs[i]();
   });

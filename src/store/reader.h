@@ -1,19 +1,16 @@
-// DRS reader — loads a store file, parses the footer index, and decodes
-// column blocks on demand. Two backing modes share one API:
+// DRS reader — maps a store file read-only, parses the footer index, and
+// decodes column blocks on demand. Block payloads are views straight into
+// the mapping; decoded columns are copies, so nothing a reader returns
+// dangles once it closes. A file that cannot be mapped (missing, empty,
+// a directory, a pipe) fails at open like any other defect.
 //
-//   Buffered  the whole file is slurped into an owned string (the
-//             original behaviour; works on any filesystem).
-//   Mapped    the file is mmap'd read-only and block payloads are views
-//             straight into the mapping — no copy of the block region.
-//             Falls back to Buffered when mmap is unavailable.
-//
-// In both modes each block's CRC32C is verified lazily on first touch
-// and the verification is recorded per block, so a block touched many
-// times (or scanned column-by-column) is checksummed exactly once.
-// validate_all() checks every block, fanning the checksum work out
-// across the exec worker pool. All failure modes (bad magic,
-// unsupported version, truncation, checksum mismatch, missing columns)
-// throw StoreError with a message naming the problem.
+// Each block's CRC32C is verified lazily on first touch and the
+// verification is recorded per block, so a block read many times is
+// checksummed exactly once. validate_all() checks every block, fanning
+// the checksum work out across the exec worker pool. All failure modes
+// (bad magic, unsupported version, truncation, checksum mismatch,
+// missing columns, malformed payloads) throw StoreError with a message
+// naming the file and the problem.
 #pragma once
 
 #include <atomic>
@@ -29,27 +26,17 @@
 
 namespace ddos::store {
 
-enum class ReadMode : std::uint8_t {
-  Buffered = 0,  // copy the file into memory
-  Mapped = 1,    // mmap read-only; zero-copy block payloads
-};
-
 class Reader {
  public:
-  /// Reads and verifies `path` (header magic/version, trailer, footer
+  /// Maps and verifies `path` (header magic/version, trailer, footer
   /// checksum, block-extent sanity). Throws StoreError on any defect.
   /// Block CRCs are NOT checked here — they verify lazily on first
-  /// touch so a mapped open stays O(footer).
-  explicit Reader(const std::string& path,
-                  ReadMode mode = ReadMode::Buffered);
+  /// touch so an open stays O(footer).
+  explicit Reader(const std::string& path);
   ~Reader();
 
   Reader(const Reader&) = delete;
   Reader& operator=(const Reader&) = delete;
-
-  /// True when the file is backed by an mmap (mode Mapped and the map
-  /// succeeded); false after the buffered fallback.
-  bool mapped() const { return map_ != nullptr; }
 
   const std::vector<ColumnDesc>& columns() const { return columns_; }
   const std::vector<std::pair<std::string, std::string>>& meta() const {
@@ -80,14 +67,6 @@ class Reader {
   std::vector<std::string> read_strings(std::string_view dataset,
                                         std::string_view column) const;
 
-  /// CRC-checked view of a block's raw payload — bytes of the mapping
-  /// itself in Mapped mode, valid for the Reader's lifetime. The
-  /// columnar scan layer (store/scan.h) decodes straight from this.
-  std::string_view verified_payload(const ColumnDesc& desc) const {
-    check_crc(desc);
-    return payload(desc);
-  }
-
   /// Run `jobs` (independent column decodes) across the exec pool; each
   /// job must write only its own output slot. Dataset readers use this to
   /// fan block decoding out.
@@ -114,10 +93,7 @@ class Reader {
   void parse(std::string_view data);
 
   std::string path_;
-  std::string buffer_;         // Buffered backing (empty when mapped)
-  void* map_ = nullptr;        // Mapped backing
-  std::size_t map_size_ = 0;
-  std::string_view data_;      // whichever backing is live
+  std::string_view data_;  // the read-only mapping of the whole file
   std::vector<ColumnDesc> columns_;
   std::vector<std::pair<std::string, std::string>> meta_;
   // One flag per column block: 1 once its CRC verified OK. Failed checks

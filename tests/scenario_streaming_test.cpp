@@ -210,14 +210,13 @@ std::uint64_t analysis_digest(
 }
 
 // core::monthly_joined_summary over the joined rows decoded from `path`.
-std::vector<core::MonthlyJoinedRow> monthly_of_store(
-    const std::string& path, store::ReadMode mode = store::ReadMode::Mapped) {
+std::vector<core::MonthlyJoinedRow> monthly_of_store(const std::string& path) {
   return core::monthly_joined_summary(
-      store::read_joined_events(store::Reader(path, mode)));
+      store::read_joined_events(store::Reader(path)));
 }
 
-// analyze_store over the golden stores, mapped and buffered, at pool
-// widths 1 and 4: every result must fold to the committed digest.
+// analyze_store over the golden stores at pool widths 1 and 4: every
+// result must fold to the committed digest.
 TEST(GoldenDigest, StoreAnalysis) {
   const unsigned saved_threads = exec::global_pool().thread_count();
   const LongitudinalResult r = run_longitudinal(test_config());
@@ -226,19 +225,12 @@ TEST(GoldenDigest, StoreAnalysis) {
     save_run(path, test_config(), golden.threads, r);
     for (const unsigned width : {1u, 4u}) {
       exec::set_global_threads(width);
-      for (const bool use_mmap : {true, false}) {
-        const StoreAnalysis a = analyze_store(path, use_mmap);
-        EXPECT_EQ(a.threads, golden.threads);
-        EXPECT_EQ(a.mapped, use_mmap);
-        EXPECT_EQ(a.joined, r.joined.size());
-        const store::ReadMode mode =
-            use_mmap ? store::ReadMode::Mapped : store::ReadMode::Buffered;
-        EXPECT_EQ(analysis_digest(a, monthly_of_store(path, mode)),
-                  kGoldenAnalysis)
-            << "analyze_store at pool width " << width
-            << (use_mmap ? " (mapped)" : " (buffered)")
-            << " of the threads-" << golden.threads << " store";
-      }
+      const StoreAnalysis a = analyze_store(path);
+      EXPECT_EQ(a.threads, golden.threads);
+      EXPECT_EQ(a.joined, r.joined.size());
+      EXPECT_EQ(analysis_digest(a, monthly_of_store(path)), kGoldenAnalysis)
+          << "analyze_store at pool width " << width << " of the threads-"
+          << golden.threads << " store";
     }
     std::filesystem::remove(path);
   }
@@ -403,7 +395,6 @@ TEST_F(StreamingTest, AnalyzeStoreMatchesRowAnalyses) {
   expected.duration_series = core::duration_impact_series(joined);
   expected.by_anycast = core::impact_by_anycast(joined);
   const StoreAnalysis analysis = analyze_store(path);
-  EXPECT_TRUE(analysis.mapped);
   EXPECT_EQ(analysis.file_bytes, std::filesystem::file_size(path));
   EXPECT_EQ(analysis_digest(analysis, monthly_of_store(path)),
             analysis_digest(expected, core::monthly_joined_summary(joined)));

@@ -167,7 +167,7 @@ TEST(StoreMerge, CorruptShardFailsNamingThePath) {
   // CRC-covered block, not inter-block padding or the footer.
   std::uint64_t target = 0;
   {
-    const Reader reader(corrupt, ReadMode::Buffered);
+    const Reader reader(corrupt);
     const ColumnDesc& desc = reader.column("daily", "key");
     ASSERT_GT(desc.size, 2u);
     target = desc.offset + 2;
@@ -233,7 +233,7 @@ TEST(StoreReader, DecodeErrorNamesPathAndColumn) {
                        payload);
     ASSERT_TRUE(writer.finish());
   }
-  const Reader reader(path, ReadMode::Buffered);
+  const Reader reader(path);
   try {
     reader.read_u64("ds", "col");
     FAIL() << "decode of a truncated varint did not throw";

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <string>
@@ -19,8 +22,13 @@
 namespace ddos::store {
 namespace {
 
+// Per-process temp names: gtest_discover_tests runs each case as its own
+// ctest entry, so concurrent ctest -j workers would otherwise race on
+// one file.
 std::string temp_path(const char* name) {
-  return (std::filesystem::path(testing::TempDir()) / name).string();
+  return (std::filesystem::path(testing::TempDir()) /
+          (std::to_string(::getpid()) + "-" + name))
+      .string();
 }
 
 // Flip one byte at `offset` in the file at `path`.
@@ -97,6 +105,84 @@ TEST(Format, DecodeRejectsTrailingBytes) {
   payload.push_back('\0');
   EXPECT_THROW(decode_u64_column(payload, Encoding::Varint, values.size()),
                StoreError);
+}
+
+// decode_u64_column runs an unrolled loop while at least 10 payload
+// bytes are left and finishes with get_varint. Lengths 0-24 over values
+// of 1 to 10 varint bytes put rows in both regions and on the boundary;
+// the value order makes deltas wrap in both directions.
+TEST(Format, U64ColumnRoundTripsInBothDecodeRegions) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::vector<std::uint64_t> pool = {
+      0, 127, 128, 1ull << 63, kMax, 5, 16384, 1ull << 40, 3, kMax - 1, 1};
+  for (const Encoding encoding : {Encoding::Varint, Encoding::DeltaVarint}) {
+    for (std::size_t n = 0; n <= 24; ++n) {
+      for (std::size_t stride : {1u, 4u, 7u}) {
+        std::vector<std::uint64_t> values;
+        for (std::size_t i = 0; i < n; ++i)
+          values.push_back(pool[(i * stride + n) % pool.size()]);
+        const std::string payload = encode_u64_column(values, encoding);
+        EXPECT_EQ(decode_u64_column(payload, encoding, n), values)
+            << to_string(encoding) << " n=" << n << " stride=" << stride;
+      }
+    }
+  }
+}
+
+// Malformed varint payloads fail in the unrolled region (at least 10
+// bytes left) and in the get_varint tail. A 10th byte above 1 can only
+// sit in the unrolled region: with fewer than 10 bytes left the varint
+// is truncated before it has a 10th byte.
+TEST(Format, MalformedVarintPayloadsAreRejectedInBothRegions) {
+  const auto ones = [](std::size_t n) { return std::string(n, '\x01'); };
+  std::string ten_byte_overflow(9, '\xFF');
+  ten_byte_overflow.push_back('\x02');  // bits past 64
+  const std::string ten_continuations(10, '\x80');
+  struct Case {
+    const char* what;
+    std::string payload;
+    std::uint64_t rows;
+  };
+  const std::vector<Case> cases = {
+      {"10th byte > 1, unrolled region", ones(3) + ten_byte_overflow + ones(4),
+       8},
+      {"continuation bit at the end, unrolled region", ten_continuations, 1},
+      {"continuation bit at the end, tail", ones(12) + "\x80", 13},
+      {"continuation bit at the end, tail only", "\x80", 1},
+      {"trailing byte, unrolled region", ones(2) + ones(10), 2},
+      {"trailing byte, tail", ones(3), 2},
+      {"trailing byte after the unrolled region", ones(15), 14},
+  };
+  for (const Encoding encoding : {Encoding::Varint, Encoding::DeltaVarint}) {
+    for (const Case& c : cases) {
+      EXPECT_THROW(decode_u64_column(c.payload, encoding, c.rows), StoreError)
+          << to_string(encoding) << ": " << c.what;
+    }
+  }
+  // The same bytes with a matching row count decode.
+  EXPECT_EQ(decode_u64_column(ones(15), Encoding::Varint, 15).size(), 15u);
+}
+
+// Footer row counts are checked against the payload before any
+// allocation: a row count no payload can hold is a StoreError, not a
+// length_error or an out-of-memory abort.
+TEST(Format, RowCountsBeyondThePayloadFailBeforeAllocating) {
+  const std::uint64_t huge = 1ull << 62;
+  EXPECT_THROW(decode_u64_column("\x01", Encoding::Varint, huge), StoreError);
+  EXPECT_THROW(decode_u64_column("\x01", Encoding::DeltaVarint, huge),
+               StoreError);
+  EXPECT_THROW(decode_u64_column(std::string(8, '\0'), Encoding::Fixed,
+                                 (1ull << 61) + 1),
+               StoreError);
+  EXPECT_THROW(decode_f64_column(std::string(8, '\0'), (1ull << 61) + 1),
+               StoreError);
+  EXPECT_THROW(decode_f64_column(std::string(9, '\0'), 1), StoreError);
+  EXPECT_THROW(decode_u8_column("\x01", huge), StoreError);
+  EXPECT_THROW(decode_string_column(std::string(1, '\0'), huge), StoreError);
+  // A length prefix running past the payload, however large.
+  std::string huge_len;
+  put_varint(huge_len, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_THROW(decode_string_column(huge_len, 1), StoreError);
 }
 
 TEST(WriterReader, RoundTripAllColumnTypes) {
@@ -226,6 +312,109 @@ TEST(WriterReader, MissingFileThrows) {
   EXPECT_THROW(Reader{temp_path("does-not-exist.drs")}, StoreError);
 }
 
+// Footer row counts a CRC-valid block cannot hold fail through the
+// Reader with a StoreError naming the file and the column.
+TEST(WriterReader, OversizedFooterRowCountsNameFileAndColumn) {
+  const std::string path = temp_path("huge-rows.drs");
+  {
+    Writer writer(path);
+    writer.add_encoded("ds", "reals", ColumnType::F64, Encoding::Fixed,
+                       (1ull << 61) + 1, std::string(8, '\0'));
+    writer.add_encoded("ds", "counts", ColumnType::U64, Encoding::Varint,
+                       1ull << 62, std::string("\x01"));
+    writer.add_encoded("ds", "names", ColumnType::Str, Encoding::StringBlock,
+                       1ull << 62, std::string(1, '\0'));
+    ASSERT_TRUE(writer.finish());
+  }
+  const Reader reader(path);
+  const auto expect_named = [&](const std::function<void()>& read,
+                                const std::string& column) {
+    try {
+      read();
+      ADD_FAILURE() << column << ": no StoreError";
+    } catch (const StoreError& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find(path), std::string::npos) << message;
+      EXPECT_NE(message.find("column '" + column + "'"), std::string::npos)
+          << message;
+    }
+  };
+  expect_named([&] { reader.read_f64("ds", "reals"); }, "ds.reals");
+  expect_named([&] { reader.read_u64("ds", "counts"); }, "ds.counts");
+  expect_named([&] { reader.read_strings("ds", "names"); }, "ds.names");
+  std::filesystem::remove(path);
+}
+
+// The Reader only maps: a file it cannot map, or one too short to hold a
+// header and a trailer, fails at open with a StoreError naming the path.
+TEST(WriterReader, UnmappableAndHeaderOnlyFilesFailAtOpen) {
+  const std::string empty = temp_path("zero-bytes.drs");
+  { std::ofstream out(empty, std::ios::binary | std::ios::trunc); }
+  const std::string header_only = temp_path("header-only.drs");
+  {
+    std::string header;
+    put_fixed32(header, kMagic);
+    put_fixed32(header, kFormatVersion);
+    put_fixed64(header, 0);
+    std::ofstream out(header_only, std::ios::binary | std::ios::trunc);
+    out << header;
+  }
+  const std::string directory = temp_path("a-directory.drs");
+  std::filesystem::create_directory(directory);
+  for (const std::string& path : {empty, header_only, directory}) {
+    try {
+      const Reader reader(path);
+      ADD_FAILURE() << path << ": opened";
+    } catch (const StoreError& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+  }
+  std::filesystem::remove(empty);
+  std::filesystem::remove(header_only);
+  std::filesystem::remove(directory);
+}
+
+// A footer whose offset + size wraps past 2^64 must not pass the
+// block-extent check. The file is built by hand: the Writer cannot
+// produce such a footer.
+TEST(WriterReader, FooterExtentThatWrapsFailsAtOpen) {
+  const std::string path = temp_path("wrapping-extent.drs");
+  std::string file;
+  put_fixed32(file, kMagic);
+  put_fixed32(file, kFormatVersion);
+  put_fixed64(file, 0);
+  file.append(8, '\x01');  // one 8-byte block at offset 16
+  std::string footer;
+  put_varint(footer, 0);  // no metadata
+  put_varint(footer, 1);  // one column
+  put_string(footer, "ds");
+  put_string(footer, "col");
+  footer.push_back(static_cast<char>(ColumnType::U8));
+  footer.push_back(static_cast<char>(Encoding::Fixed));
+  put_varint(footer, 8);            // rows
+  put_varint(footer, kHeaderSize);  // offset
+  put_varint(footer, std::numeric_limits<std::uint64_t>::max());  // size
+  put_fixed32(footer, crc32c(file.data() + kHeaderSize, 8));
+  file += footer;
+  put_fixed64(file, footer.size());
+  put_fixed32(file, crc32c(footer.data(), footer.size()));
+  put_fixed32(file, kMagic);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << file;
+  }
+  try {
+    const Reader reader(path);
+    ADD_FAILURE() << "opened a store whose block extent wraps";
+  } catch (const StoreError& e) {
+    EXPECT_NE(std::string(e.what()).find("outside the block region"),
+              std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(Writer, RejectsColumnsAfterFinish) {
   const std::string path = temp_path("finished.drs");
   Writer writer(path);
@@ -233,6 +422,91 @@ TEST(Writer, RejectsColumnsAfterFinish) {
   EXPECT_THROW(
       writer.add_u64("ds", "key", std::vector<std::uint64_t>{1}),
       StoreError);
+}
+
+// ---- The mapped reader: lazy per-block CRCs, open-time checks and the
+//      v3 block layout.
+
+// One store exercising every (type, encoding) pair the writer produces.
+std::string write_sample_store(const char* name) {
+  const std::string path = temp_path(name);
+  const std::vector<std::uint64_t> sorted = {3, 7, 7, 40, 1000, 1000000};
+  const std::vector<std::uint64_t> counts = {0, 1, 127, 128, 300000,
+                                             1ull << 40};
+  const std::vector<double> reals = {0.0, -1.5, 3.25, 1e308, -0.0, 42.0};
+  const std::vector<std::uint8_t> bytes = {0, 1, 2, 0, 255, 7};
+  const std::vector<std::string> names = {"transip", "", "ovh",
+                                          "a much longer org name",
+                                          "x",       "selfhosted"};
+  Writer writer(path);
+  writer.add_meta("purpose", "mmap-test");
+  writer.add_u64("ds", "sorted", sorted, Encoding::DeltaVarint);
+  writer.add_u64("ds", "counts", counts, Encoding::Varint);
+  writer.add_u64("ds", "raw", counts, Encoding::Fixed);
+  writer.add_f64("ds", "reals", reals);
+  writer.add_u8("ds", "bytes", bytes);
+  writer.add_strings("ds", "names", names);
+  EXPECT_TRUE(writer.finish());
+  return path;
+}
+
+TEST(MmapReader, V3BlocksAreEightByteAligned) {
+  const std::string path = write_sample_store("mmap_aligned.drs");
+  const Reader reader(path);
+  for (const auto& desc : reader.columns()) {
+    EXPECT_EQ(desc.offset % 8, 0u) << desc.dataset << "." << desc.column;
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(MmapReader, LazyCrcFailsOnFirstTouchNotAtOpen) {
+  const std::string path = write_sample_store("mmap_corrupt.drs");
+  // The first block's payload starts right after the 16-byte header.
+  corrupt_byte(path, kHeaderSize);
+  // Open parses only the footer — the bit flip goes unnoticed here.
+  const Reader reader(path);
+  EXPECT_EQ(reader.lazy_crc_checks(), 0u);
+  // Healthy columns stay readable around the corrupt one.
+  EXPECT_NO_THROW(reader.read_u64("ds", "counts"));
+  EXPECT_EQ(reader.lazy_crc_checks(), 1u);
+  // First touch of the corrupt block throws...
+  EXPECT_THROW(reader.read_u64("ds", "sorted"), StoreError);
+  // ...and a failed check is never recorded as verified, so every
+  // subsequent touch fails just as loudly.
+  EXPECT_THROW(reader.read_u64("ds", "sorted"), StoreError);
+  EXPECT_EQ(reader.lazy_crc_checks(), 1u);
+  // A repeat read of a verified block does not re-hash it.
+  EXPECT_NO_THROW(reader.read_u64("ds", "counts"));
+  EXPECT_EQ(reader.lazy_crc_checks(), 1u);
+  std::filesystem::remove(path);
+}
+
+TEST(MmapReader, TruncatedFileFailsAtOpen) {
+  const std::string path = write_sample_store("mmap_truncated.drs");
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 8);
+  EXPECT_THROW(Reader{path}, StoreError);
+  std::filesystem::remove(path);
+}
+
+// Trailing bytes after a varint block's last row fail through the Reader
+// whether the decode ends in the unrolled loop or in the tail.
+TEST(MmapReader, UnrolledDecoderRejectsTrailingBytes) {
+  const std::string path = temp_path("mmap_trailing.drs");
+  std::string tail_payload;
+  put_varint(tail_payload, 5);
+  put_varint(tail_payload, 6);
+  tail_payload.push_back('\x01');  // one varint too many for rows=2
+  const std::string unrolled_payload = tail_payload + std::string(10, '\x01');
+  Writer writer(path);
+  writer.add_encoded("ds", "tail", ColumnType::U64, Encoding::Varint, 2,
+                     tail_payload);
+  writer.add_encoded("ds", "unrolled", ColumnType::U64, Encoding::DeltaVarint,
+                     2, unrolled_payload);
+  ASSERT_TRUE(writer.finish());
+  const Reader reader(path);
+  EXPECT_THROW(reader.read_u64("ds", "tail"), StoreError);
+  EXPECT_THROW(reader.read_u64("ds", "unrolled"), StoreError);
+  std::filesystem::remove(path);
 }
 
 std::string file_bytes(const std::string& path) {

@@ -6,8 +6,9 @@ Usage:
 
 The baseline file (bench/baseline_perf.json) declares a set of guarded
 higher-is-better metrics (the sweep-ingest throughput
-``ingest_measurements_per_sec`` and the bench's full-file decode
-throughput ``store_read_MBps``) plus a relative tolerance. A fresh bench
+``ingest_measurements_per_sec`` and ``store_read_MBps``, the throughput
+of a full-file read of the bench store through the production Reader
+decoders) plus a relative tolerance. A fresh bench
 run must stay within ``tolerance`` of each guarded baseline value; metrics
 listed under ``informational`` are printed for the log but never fail the
 job, since lower-level numbers (per-probe latency, row-load MB/s) are too

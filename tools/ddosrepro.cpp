@@ -513,14 +513,13 @@ int cmd_merge(util::FlagParser& flags) {
 
 int cmd_analyze_store(util::FlagParser& flags, const std::string& path) {
   exec::set_global_threads(static_cast<unsigned>(flags.get_uint("threads")));
-  // The store is mapped read-only (--no-mmap falls back to the buffered
-  // reader), every block is CRC-checked, and the headline statistics are
-  // recomputed from the decoded joined events with the kernels `run`
-  // prints with. Output is byte-identical to `run`; CI diffs the two.
-  const bool use_mmap = !flags.get_bool("no-mmap");
+  // The store is mapped read-only, every block is CRC-checked, and the
+  // headline statistics are recomputed from the decoded joined events
+  // with the kernels `run` prints with. Output is byte-identical to
+  // `run`; CI diffs the two.
   scenario::StoreAnalysis analysis;
   try {
-    analysis = scenario::analyze_store(path, use_mmap);
+    analysis = scenario::analyze_store(path);
   } catch (const store::StoreError& e) {
     std::cerr << "store error: " << e.what() << "\n";
     return 1;
@@ -543,7 +542,7 @@ int cmd_analyze_store(util::FlagParser& flags, const std::string& path) {
 
   if (flags.get_bool("rejoin")) {
     try {
-      const scenario::StoredRun run = scenario::load_run(path, use_mmap);
+      const scenario::StoredRun run = scenario::load_run(path);
       const auto rejoin = scenario::rejoin_from_store(run);
       const bool match = scenario::rejoin_matches_store(run, rejoin);
       std::cout << "rejoin: " << rejoin.joined.size()
@@ -1171,10 +1170,6 @@ int main(int argc, char** argv) {
   flags.add_bool("rejoin",
                  "re-run the join from the stored aggregates and assert a "
                  "bit-for-bit match (analyze --store)");
-  flags.add_bool("no-mmap",
-                 "read the store through the buffered reader instead of "
-                 "the zero-copy mmap path; output is byte-identical "
-                 "(analyze --store)");
   flags.add_bool("audit", "run the structural delegation audit (world)");
   flags.add_string("metrics-out", "",
                    "run-report JSON output path: config, stage timings, "
